@@ -4,10 +4,13 @@ For each surrogate family (encoder, MoE, decoder, seq2seq) a smoke-scale
 model runs the same variable-length batched workload through
 ``predict_proba`` twice:
 
-* **reference** — the pre-existing autograd ``Tensor`` path: float64,
-  no fused kernels, every batch padded to the global ``max_len``;
-* **fast** — the :mod:`repro.nn.fastpath` kernels with float32 weights
-  and length-bucketed batching (the defaults for predict/serving).
+* **reference** — the autograd ``Tensor`` path used for training:
+  float64, a graph node and backward closure per sub-layer, every batch
+  padded to the global ``max_len``.  Its forward arithmetic is the same
+  :mod:`repro.nn.fastpath` kernels, so a kernel speed-up moves both sides
+  of the ratio;
+* **fast** — the :mod:`repro.nn.fastpath` kernels with no graph, float32
+  weights and length-bucketed batching (the defaults for predict/serving).
 
 Parity is asserted before any throughput is reported: a float64
 fast-path pass must reproduce the reference probabilities **bit for
@@ -56,7 +59,7 @@ _SPEEDUP_FLOOR = 1.5
 
 _FAMILIES = ("encoder", "moe", "decoder", "seq2seq")
 
-#: Reference knobs = the pre-fast-path prediction pipeline.
+#: Reference knobs = prediction through the autograd ``Tensor`` forward.
 _REFERENCE = dict(fast_path=False, float32=False, bucket_by_length=False)
 #: Fast knobs = the shipped defaults for predict/serving.
 _FAST = dict(fast_path=True, float32=True, bucket_by_length=True)

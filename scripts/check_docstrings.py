@@ -13,8 +13,9 @@ Private names (leading underscore) and dunders other than ``__init__``
 are exempt.  Exit status is non-zero when anything is missing, so CI can
 gate on it; the default targets are the packages held at 100%:
 ``repro.llm``, ``repro.runtime``, ``repro.reliability``, ``repro.serving``,
-``repro.obs``, ``repro.routing``, plus the inference fast path
-(``repro.nn.fastpath``), the trace-report script and the
+``repro.obs``, ``repro.routing``, plus the fused kernels and ops shared
+by training and inference (``repro.nn.fastpath``, ``repro.nn.functional``),
+the optimizers (``repro.nn.optim``), the trace-report script and the
 obs/inference/routing benchmarks.
 
 Usage::
@@ -40,6 +41,8 @@ DEFAULT_TARGETS = (
     "src/repro/routing",
     "src/repro/verify",
     "src/repro/nn/fastpath.py",
+    "src/repro/nn/functional.py",
+    "src/repro/nn/optim.py",
     "benchmarks/bench_inference.py",
     "benchmarks/bench_obs.py",
     "benchmarks/bench_routing.py",

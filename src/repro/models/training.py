@@ -55,7 +55,10 @@ def train_classifier(
     if not data.labels.size:
         raise MatcherError("training data has no labels")
     model.train()
-    optimizer = AdamW(model.parameters(), lr=learning_rate or config.learning_rate)
+    optimizer = AdamW(
+        model.parameters(),
+        lr=config.learning_rate if learning_rate is None else learning_rate,
+    )
     n_batches_per_epoch = max(1, int(np.ceil(len(data) / config.batch_size)))
     total_steps = n_batches_per_epoch * config.epochs
     schedule = LinearWarmupSchedule(
@@ -69,9 +72,9 @@ def train_classifier(
             batch = data.take(order[start:start + config.batch_size])
             logits = model(batch.ids, batch.pad_mask, batch.shared)
             loss = F.cross_entropy(logits, batch.labels)
-            model.zero_grad()
+            optimizer.zero_grad()
             loss.backward()
-            clip_grad_norm(model.parameters(), max_norm=1.0)
+            clip_grad_norm(optimizer.parameters, max_norm=1.0)
             schedule.step()
             optimizer.step()
             losses.append(loss.item())

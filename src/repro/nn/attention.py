@@ -5,16 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+from . import fastpath
 from . import functional as F
-from .fastpath import MASK_VALUE, PreparedPaddingMask, causal_mask
+from .fastpath import PreparedPaddingMask
 from .layers import Linear, Module
 from .tensor import Tensor
 
 __all__ = ["MultiHeadAttention"]
-
-#: Large negative logit used to mask out attention positions (re-exported
-#: from :mod:`repro.nn.fastpath`, the single source of truth).
-_MASK_VALUE = MASK_VALUE
 
 
 class MultiHeadAttention(Module):
@@ -37,10 +34,6 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(dim, dim, rng)
         self.out_proj = Linear(dim, dim, rng)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        batch, length, _dim = x.shape
-        return x.reshape(batch, length, self.n_heads, self.head_dim).transpose(0, 2, 1, 3)
-
     def forward(
         self,
         x: Tensor,
@@ -55,20 +48,10 @@ class MultiHeadAttention(Module):
         and broadcast by the enclosing stack (reused across its layers).
         """
         source = kv if kv is not None else x
-        q = self._split_heads(self.q_proj(x))
-        k = self._split_heads(self.k_proj(source))
-        v = self._split_heads(self.v_proj(source))
-
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
-        q_len, k_len = q.shape[2], k.shape[2]
-        if self.causal:
-            scores = scores.masked_fill(causal_mask(q_len, k_len), _MASK_VALUE)
-        if key_padding_mask is not None:
-            prepared = PreparedPaddingMask.prepare(key_padding_mask, x.shape[0], k_len)
-            scores = scores.masked_fill(prepared.mask, _MASK_VALUE)
-
-        weights = F.softmax(scores, axis=-1)
-        context = weights @ v
-        batch = x.shape[0]
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, q_len, self.dim)
-        return self.out_proj(merged)
+        mask = fastpath.attention_mask(
+            self, x.shape[0], x.shape[1], source.shape[1], key_padding_mask
+        )
+        context = F.attention(
+            self.q_proj(x), self.k_proj(source), self.v_proj(source), self.n_heads, mask
+        )
+        return self.out_proj(context)

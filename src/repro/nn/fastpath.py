@@ -1,28 +1,60 @@
-"""Fused no-grad inference kernels over raw numpy arrays.
+"""Fused kernels over raw numpy arrays, shared by training and inference.
 
 The autograd :class:`~repro.nn.tensor.Tensor` pays, on every op, for a
-``Tensor`` allocation, a backward closure and a parents tuple — dead
-weight during evaluation, where the graph is never walked.  This module
-is the **inference fast path**: the exact forward arithmetic of the
-layers in :mod:`repro.nn`, re-expressed as fused ndarray kernels with
-in-place temporaries where safe, plus the shared mask caches both paths
-use.
+``Tensor`` allocation, a backward closure and a parents tuple.  This
+module holds the forward arithmetic of the :mod:`repro.nn` layers as
+fused ndarray kernels with in-place temporaries where safe, plus the
+shared mask caches.  Both execution paths run them:
 
-Three guarantees define the contract (pinned by the parity suites in
-``tests/nn/test_fastpath.py`` and ``tests/models/test_fastpath_parity.py``):
+* **training** — the fused autograd ops of :mod:`repro.nn.functional`
+  (``linear``, ``layer_norm``, ``attention``, ``gelu``, ``softmax``)
+  compute their forward with the kernels here and add one hand-written
+  backward each, so every transformer sub-layer is one graph node;
+* **inference** — the no-grad entry points below (``encoder_forward``,
+  ``decoder_forward``, and each classifier's ``infer_logits``) chain the
+  same kernels with no graph at all.
 
-* **float64 parity is byte-exact.**  Every kernel replays the reference
-  path's operations in an order that is bit-identical under IEEE-754
-  (in-place variants of the same ops; the ``0.5`` GELU factor commutes
-  exactly because power-of-two multiplies never round).  ``infer_logits``
-  at ``np.float64`` equals the ``Tensor`` forward to the last bit.
+Parity tiers (pinned by ``tests/nn/test_fastpath.py``,
+``tests/models/test_fastpath_parity.py`` and
+``tests/nn/test_train_parity.py``, which keeps the earlier composite
+``Tensor`` chains as test-only references):
+
+* **float64 inference equals the training forward bit for bit.**  Both
+  paths call the same kernels, so ``infer_logits`` at ``np.float64``
+  equals the ``Tensor`` forward to the last bit.
+* **Fused op vs the composite chain it replaced, per op:**
+
+  - attention core (scale, mask, softmax, context): forward and the
+    ``q``/``k``/``v`` gradients bit-identical.  Causal and padding masks
+    are joined into one boolean mask; hiding a key twice or once gives
+    the same scores;
+  - ``layer_norm``: forward and the gain/bias gradients bit-identical;
+    the input gradient (one closed form instead of a chain) within
+    ``rtol=1e-10``;
+  - ``linear``: all leading dims collapse into one GEMM.  At the
+    training lengths (48 and 64) the forward and the input/bias
+    gradients are bit-identical to the batched ``@``, and the weight
+    gradient (one GEMM over every row instead of a per-batch sum) is
+    within ``rtol=1e-10``.  BLAS picks its kernel by matrix shape, so
+    for short sequences, the seq2seq decoder's single start token among
+    them, the collapsed and batched GEMMs can differ in the last bit.
+    float64 inference collapses the same way; float32 inference keeps
+    the batched ``@`` (see :func:`linear`);
+  - ``gelu``: the cube is ``x*x*x`` instead of libm ``pow`` (1 ulp), so
+    forward and gradient are within ``rtol=1e-10``;
+  - ``softmax``: unchanged, bit-identical;
+  - position-table and slice gradients: bit-identical.  The position
+    table gets the batch sum of one broadcast slice, and a slice's
+    gradient is assigned instead of scattered; the token and flag tables
+    keep ``np.add.at``.
+
 * **float32 parity is documented, not exact.**  Weights are cast once
   per parameter (cached; see below) and the whole forward runs in
   single precision.  Logits agree with the float64 path within
   ``FLOAT32_RTOL``/``FLOAT32_ATOL``; at the surrogate scales in
   :mod:`repro.config` the resulting match *predictions* are unchanged.
-* **Eval mode only.**  The kernels skip dropout unconditionally, so the
-  entry points refuse modules left in training mode.
+* **Eval mode only** for the no-grad entry points.  They skip dropout
+  unconditionally, so they refuse modules left in training mode.
 
 Weight-cast caching: the float32 copies are memoised per module under
 the :data:`CAST_CACHE_ATTR` attribute and invalidated whenever the
@@ -55,10 +87,18 @@ __all__ = [
     "invalidate_casts",
     "softmax",
     "softmax_",
+    "gelu_tanh",
     "gelu_",
+    "normalize",
     "layer_norm",
+    "affine",
     "linear",
+    "split_heads",
+    "merge_heads",
+    "attention_mask",
+    "attention_weights",
     "attention",
+    "check_length",
     "stem",
     "encoder_forward",
     "decoder_forward",
@@ -180,82 +220,150 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu_(x: np.ndarray) -> np.ndarray:
-    """Fused tanh-approximation GELU; consumes ``x`` (one temporary).
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``tanh(c (x + 0.044715 x^3))``, GELU's inner term, as a fresh array.
 
-    Bit-identical to :func:`repro.nn.functional.gelu`'s forward: the
-    only reassociation is factoring the exact power-of-two ``0.5``.
+    The cube is ``x*x*x``: libm ``pow`` costs about a hundred times more
+    per element and differs from it by at most an ulp.
     """
-    inner = 0.044715 * x ** 3
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
     inner += x
     inner *= _GELU_C
     np.tanh(inner, out=inner)
-    inner += 1.0
-    inner *= x
-    inner *= 0.5
     return inner
 
 
-def layer_norm(module: object, x: np.ndarray) -> np.ndarray:
-    """LayerNorm over the last axis, mirroring ``LayerNorm.forward``."""
+def gelu_(x: np.ndarray) -> np.ndarray:
+    """Fused tanh-approximation GELU into one fresh array (``x`` is read only).
+
+    Bit-identical to :func:`repro.nn.functional.gelu`'s forward, which
+    finishes the same :func:`gelu_tanh` with the same three ops.
+    """
+    out = gelu_tanh(x)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
+
+
+def normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(x - mean) / sqrt(var + eps)`` over the last axis.
+
+    Returns the normalised array and the reciprocal standard deviation
+    (shape ``(..., 1)``), which the layer-norm backward reuses.
+    """
     dim = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True)
     mu *= 1.0 / dim
     centered = x - mu
     var = (centered * centered).sum(axis=-1, keepdims=True)
     var *= 1.0 / dim
-    var += module.eps
+    var += eps
     np.power(var, -0.5, out=var)
     centered *= var
-    centered *= cast_param(module, "gain", x.dtype)
-    centered += cast_param(module, "bias", x.dtype)
-    return centered
+    return centered, var
+
+
+def layer_norm(module: object, x: np.ndarray) -> np.ndarray:
+    """LayerNorm over the last axis, mirroring ``LayerNorm.forward``."""
+    normed, _rstd = normalize(x, module.eps)
+    normed *= cast_param(module, "gain", x.dtype)
+    normed += cast_param(module, "bias", x.dtype)
+    return normed
+
+
+def affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``x @ weight + bias`` with every leading dim of ``x`` in one GEMM."""
+    out = x.reshape(-1, x.shape[-1]) @ weight
+    out += bias
+    return out.reshape(x.shape[:-1] + weight.shape[1:])
 
 
 def linear(module: object, x: np.ndarray) -> np.ndarray:
-    """Affine map ``x W + b`` with weights cast to ``x``'s dtype."""
-    out = x @ cast_param(module, "weight", x.dtype)
-    out += cast_param(module, "bias", x.dtype)
+    """Affine map ``x W + b`` with weights cast to ``x``'s dtype.
+
+    float64 runs :func:`affine`, the training forward, so the two stay
+    bit-identical.  float32 only promises a tolerance and keeps the
+    batched ``@``: one GEMM over a 128-pair batch crosses OpenBLAS's
+    threading threshold and wakes a second BLAS thread, which raised a
+    routed server's peak memory by ~3.5% and bought no measured speed.
+    """
+    weight = cast_param(module, "weight", x.dtype)
+    bias = cast_param(module, "bias", x.dtype)
+    if x.dtype == np.float64:
+        return affine(x, weight, bias)
+    out = x @ weight
+    out += bias
     return out
 
 
 # -- attention ----------------------------------------------------------------
 
 
-def _split_heads(attn: object, x: np.ndarray) -> np.ndarray:
-    batch, length, _dim = x.shape
-    return x.reshape(batch, length, attn.n_heads, attn.head_dim).transpose(0, 2, 1, 3)
+def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """``(B, T, D)`` -> a ``(B, H, T, D / H)`` view."""
+    batch, length, dim = x.shape
+    return x.reshape(batch, length, n_heads, dim // n_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x: np.ndarray) -> np.ndarray:
+    """``(B, H, T, d)`` -> ``(B, T, H * d)``, C-contiguous."""
+    batch, n_heads, length, head_dim = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(batch, length, n_heads * head_dim)
+
+
+def attention_mask(
+    attn: object,
+    batch: int,
+    q_len: int,
+    k_len: int,
+    key_padding_mask: "np.ndarray | PreparedPaddingMask | None",
+) -> np.ndarray | None:
+    """The boolean mask of keys hidden from ``attn``'s scores, or ``None``.
+
+    Causal and padding masks are joined into one array, so the scores are
+    masked in one pass.  ``key_padding_mask`` may be raw ``(batch, k_len)``
+    or already prepared by the enclosing stack; either way it is checked
+    against the shape.
+    """
+    mask = causal_mask(q_len, k_len) if attn.causal else None
+    if key_padding_mask is not None:
+        padding = PreparedPaddingMask.prepare(key_padding_mask, batch, k_len).mask
+        mask = padding if mask is None else mask | padding
+    return mask
+
+
+def attention_weights(
+    q: np.ndarray, k: np.ndarray, scale: float, mask: np.ndarray | None
+) -> np.ndarray:
+    """Masked softmax of ``q k^T * scale`` over heads-split arrays, fresh."""
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
+    if mask is not None:
+        np.copyto(scores, MASK_VALUE, where=mask)
+    return softmax_(scores)
 
 
 def attention(
     attn: object,
     x: np.ndarray,
     kv: np.ndarray | None = None,
-    key_padding_mask: PreparedPaddingMask | None = None,
+    key_padding_mask: "np.ndarray | PreparedPaddingMask | None" = None,
 ) -> np.ndarray:
     """Fused multi-head attention mirroring ``MultiHeadAttention.forward``.
 
-    ``key_padding_mask`` must already be a :class:`PreparedPaddingMask`
-    (the stack forwards prepare it once and reuse it across layers).
+    The stack forwards pass ``key_padding_mask`` prepared once and reused
+    across layers; a raw mask is validated here.
     """
     source = kv if kv is not None else x
-    q = _split_heads(attn, linear(attn.q_proj, x))
-    k = _split_heads(attn, linear(attn.k_proj, source))
-    v = _split_heads(attn, linear(attn.v_proj, source))
-
-    scores = q @ k.swapaxes(-1, -2)
-    scores *= 1.0 / np.sqrt(attn.head_dim)
-    q_len, k_len = q.shape[2], k.shape[2]
-    if attn.causal:
-        scores = np.where(causal_mask(q_len, k_len), MASK_VALUE, scores)
-    if key_padding_mask is not None:
-        key_padding_mask.check(x.shape[0], k_len)
-        scores = np.where(key_padding_mask.mask, MASK_VALUE, scores)
-
-    weights = softmax_(scores)
-    context = weights @ v
-    merged = context.transpose(0, 2, 1, 3).reshape(x.shape[0], q_len, attn.dim)
-    return linear(attn.out_proj, merged)
+    q = split_heads(linear(attn.q_proj, x), attn.n_heads)
+    k = split_heads(linear(attn.k_proj, source), attn.n_heads)
+    v = split_heads(linear(attn.v_proj, source), attn.n_heads)
+    mask = attention_mask(attn, x.shape[0], q.shape[2], k.shape[2], key_padding_mask)
+    weights = attention_weights(q, k, 1.0 / np.sqrt(attn.head_dim), mask)
+    return linear(attn.out_proj, merge_heads(weights @ v))
 
 
 # -- embedding stem and transformer stacks ------------------------------------
@@ -265,6 +373,12 @@ def _check_ids(ids: np.ndarray, n_embeddings: int) -> None:
     """Replicate ``Embedding.forward``'s id-range validation."""
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= n_embeddings:
         raise ConfigurationError(f"embedding ids out of range [0, {n_embeddings})")
+
+
+def check_length(length: int, max_len: int) -> None:
+    """Refuse sequences longer than the position table, as ``Embedding`` would."""
+    if length > max_len:
+        raise ConfigurationError(f"embedding ids out of range [0, {max_len})")
 
 
 def stem(
@@ -277,10 +391,7 @@ def stem(
     ids = np.asarray(ids, dtype=np.int64)
     _check_ids(ids, module.tokens.weight.shape[0])
     length = ids.shape[1]
-    if length > module.positions.weight.shape[0]:
-        raise ConfigurationError(
-            f"embedding ids out of range [0, {module.positions.weight.shape[0]})"
-        )
+    check_length(length, module.positions.weight.shape[0])
     x = cast_param(module.tokens, "weight", dtype)[ids]
     x += cast_param(module.positions, "weight", dtype)[:length]
     if flags is not None:

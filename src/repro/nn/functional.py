@@ -1,8 +1,11 @@
 """Functional operations built on the autograd :class:`~repro.nn.tensor.Tensor`.
 
-Softmax, log-softmax and cross-entropy are implemented as fused primitives
-with hand-written backward passes (the composites would be numerically
-fragile and slow); the rest are thin composites.
+Each op here is one graph node with a hand-written backward.  The
+transformer sub-layers (``linear``, ``layer_norm``, ``attention``,
+``gelu``, ``softmax``) take their forward arithmetic from the shared
+kernels of :mod:`repro.nn.fastpath`, so the training forward and the
+no-grad inference path compute the same bits; the parity tier of each
+op against the composite chain it replaced is listed there.
 """
 
 from __future__ import annotations
@@ -11,9 +14,13 @@ import numpy as np
 
 from ..errors import GradientError
 from . import fastpath
+from .fastpath import _GELU_C
 from .tensor import Tensor
 
 __all__ = [
+    "linear",
+    "layer_norm",
+    "attention",
     "softmax",
     "log_softmax",
     "cross_entropy",
@@ -24,26 +31,108 @@ __all__ = [
 ]
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` with every leading dim of ``x`` in one GEMM."""
+    x2d = x.data.reshape(-1, x.shape[-1])
+    out_data = fastpath.affine(x.data, weight.data, bias.data)
+
+    def backward(grad: np.ndarray) -> None:
+        grad2d = grad.reshape(-1, grad.shape[-1])
+        if x.requires_grad:
+            x._accumulate((grad2d @ weight.data.T).reshape(x.shape), owned=True)
+        if weight.requires_grad:
+            weight._accumulate(x2d.T @ grad2d, owned=True)
+        if bias.requires_grad:
+            bias._accumulate(grad.sum(axis=tuple(range(grad.ndim - 1))), owned=True)
+
+    return x._make(out_data, (x, weight, bias), backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Layer normalisation over the last axis, scaled by ``gain`` plus ``bias``."""
+    normed, rstd = fastpath.normalize(x.data, eps)
+    out_data = normed * gain.data
+    out_data += bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        axes = tuple(range(grad.ndim - 1))
+        if gain.requires_grad:
+            gain._accumulate((grad * normed).sum(axis=axes), owned=True)
+        if bias.requires_grad:
+            bias._accumulate(grad.sum(axis=axes), owned=True)
+        if x.requires_grad:
+            # dx = rstd * (g - mean(g) - normed * mean(g * normed)), g = grad * gain
+            inv_dim = 1.0 / x.shape[-1]
+            g = grad * gain.data
+            mean_g = g.sum(axis=-1, keepdims=True)
+            mean_g *= inv_dim
+            mean_gn = (g * normed).sum(axis=-1, keepdims=True)
+            mean_gn *= inv_dim
+            g -= mean_g
+            g -= normed * mean_gn
+            g *= rstd
+            x._accumulate(g, owned=True)
+
+    return x._make(out_data, (x, gain, bias), backward)
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None = None
+) -> Tensor:
+    """Multi-head attention core over projected ``(B, T, D)`` tensors.
+
+    Splits heads, scales the scores by ``1/sqrt(D/H)``, hides the keys
+    where ``mask`` (broadcastable to ``(B, H, Tq, Tk)``) is ``True``,
+    softmaxes and applies the weights to ``v``; returns the merged
+    ``(B, Tq, D)`` context.
+    """
+    qh, kh, vh = (fastpath.split_heads(t.data, n_heads) for t in (q, k, v))
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    weights = fastpath.attention_weights(qh, kh, scale, mask)
+    out_data = fastpath.merge_heads(weights @ vh)
+
+    def backward(grad: np.ndarray) -> None:
+        grad_context = np.ascontiguousarray(fastpath.split_heads(grad, n_heads))
+        if v.requires_grad:
+            v._accumulate(
+                fastpath.merge_heads(np.swapaxes(weights, -1, -2) @ grad_context), owned=True
+            )
+        # Softmax backward, then the mask zeroes what it hid, then the scale.
+        g = grad_context @ np.swapaxes(vh, -1, -2)
+        g -= (g * weights).sum(axis=-1, keepdims=True)
+        g *= weights
+        if mask is not None:
+            np.copyto(g, 0.0, where=mask)
+        g *= scale
+        if q.requires_grad:
+            q._accumulate(fastpath.merge_heads(g @ kh), owned=True)
+        if k.requires_grad:
+            grad_kt = np.swapaxes(qh, -1, -2) @ g
+            k._accumulate(fastpath.merge_heads(np.swapaxes(grad_kt, -1, -2)), owned=True)
+
+    return q._make(out_data, (q, k, v), backward)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    # Forward values come from the shared fused kernel so the Tensor path
-    # and the inference fast path agree byte-for-byte.
+    """Softmax along ``axis``."""
     out_data = fastpath.softmax(x.data, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         dot = (grad * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (grad - dot))
+        x._accumulate(out_data * (grad - dot), owned=True)
 
     return x._make(out_data, (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Log of the softmax along ``axis``, computed stably."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - log_norm
 
     def backward(grad: np.ndarray) -> None:
         soft = np.exp(out_data)
-        x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
+        x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True), owned=True)
 
     return x._make(out_data, (x,), backward)
 
@@ -86,16 +175,17 @@ def cross_entropy(
         soft = np.exp(log_probs)
         soft[np.arange(flat_targets.size), safe_targets] -= 1.0
         soft *= keep[:, None] / n_kept
-        logits._accumulate(float(grad) * soft.reshape(logits.shape))
+        logits._accumulate(float(grad) * soft.reshape(logits.shape), owned=True)
 
     return logits._make(np.asarray(loss_value), (logits,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise logistic function."""
     out_data = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * out_data * (1.0 - out_data))
+        x._accumulate(grad * out_data * (1.0 - out_data), owned=True)
 
     return x._make(out_data, (x,), backward)
 
@@ -108,24 +198,24 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
 
     def backward(grad: np.ndarray) -> None:
         probs = 1.0 / (1.0 + np.exp(-z))
-        logits._accumulate(float(grad) * (probs - targets) / z.size)
+        logits._accumulate(float(grad) * (probs - targets) / z.size, owned=True)
 
     return logits._make(np.asarray(loss_value), (logits,), backward)
 
 
-_GELU_C = float(np.sqrt(2.0 / np.pi))
-
-
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (as in GPT-2/BERT)."""
-    inner = _GELU_C * (x.data + 0.044715 * x.data ** 3)
-    tanh_inner = np.tanh(inner)
-    out_data = 0.5 * x.data * (1.0 + tanh_inner)
+    tanh_inner = fastpath.gelu_tanh(x.data)
+    out_data = tanh_inner + 1.0
+    out_data *= x.data
+    out_data *= 0.5
 
     def backward(grad: np.ndarray) -> None:
         sech2 = 1.0 - tanh_inner ** 2
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
-        x._accumulate(grad * (0.5 * (1.0 + tanh_inner) + 0.5 * x.data * sech2 * d_inner))
+        x._accumulate(
+            grad * (0.5 * (1.0 + tanh_inner) + 0.5 * x.data * sech2 * d_inner), owned=True
+        )
 
     return x._make(out_data, (x,), backward)
 
@@ -139,6 +229,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
+        x._accumulate(grad * mask, owned=True)
 
     return x._make(x.data * mask, (x,), backward)

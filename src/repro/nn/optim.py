@@ -40,10 +40,12 @@ class _Optimizer:
         self.lr = lr
 
     def zero_grad(self) -> None:
+        """Drop the gradient of every parameter this optimizer updates."""
         for p in self.parameters:
             p.grad = None
 
     def step(self) -> None:
+        """Update every parameter that has a gradient."""
         raise NotImplementedError
 
 
@@ -51,11 +53,13 @@ class SGD(_Optimizer):
     """Plain SGD with optional momentum."""
 
     def __init__(self, parameters: Sequence[Parameter], lr: float, momentum: float = 0.0) -> None:
+        """Update ``parameters`` at rate ``lr`` with ``momentum`` (0 disables it)."""
         super().__init__(parameters, lr)
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
+        """One SGD update of every parameter with a gradient."""
         for p, v in zip(self.parameters, self._velocity):
             if p.grad is None:
                 continue
@@ -77,27 +81,54 @@ class Adam(_Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ) -> None:
+        """Update ``parameters`` at rate ``lr`` with moment decays ``betas``."""
         super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
+        largest = max(p.size for p in self.parameters)
+        self._work = (np.empty(largest), np.empty(largest))
 
     def step(self) -> None:
+        """One bias-corrected Adam update of every parameter with a gradient."""
+        self._update(weight_decay=0.0)
+
+    def _update(self, weight_decay: float) -> None:
+        """Decoupled decay (when positive) then the Adam step, per parameter.
+
+        Every line is an in-place form of ``p.data -= lr * wd * p.data``,
+        ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+        ``p.data -= lr * (m / bias1) / (sqrt(v / bias2) + eps)``, in that
+        operation order, so the result is bit-identical to those lines.
+        """
         self._t += 1
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t
+        lr, decay = self.lr, self.lr * weight_decay
         for p, m, v in zip(self.parameters, self._m, self._v):
             if p.grad is None:
                 continue
+            data, grad = p.data, p.grad
+            step, denom = (w[:data.size].reshape(data.shape) for w in self._work)
+            if weight_decay > 0.0:
+                np.multiply(data, decay, out=step)
+                data -= step
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            np.multiply(grad, 1.0 - self.beta1, out=step)
+            m += step
             v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(grad, 1.0 - self.beta2, out=step)
+            step *= grad
+            v += step
+            np.divide(m, bias1, out=step)
+            step *= lr
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            data -= step
 
 
 class AdamW(Adam):
@@ -111,21 +142,20 @@ class AdamW(Adam):
         eps: float = 1e-8,
         weight_decay: float = 0.01,
     ) -> None:
+        """Adam over ``parameters`` plus decay ``weight_decay`` per unit rate."""
         super().__init__(parameters, lr, betas, eps)
         self.weight_decay = weight_decay
 
     def step(self) -> None:
-        if self.weight_decay > 0.0:
-            for p in self.parameters:
-                if p.grad is not None:
-                    p.data -= self.lr * self.weight_decay * p.data
-        super().step()
+        """One AdamW update: ``p -= lr * weight_decay * p``, then the Adam step."""
+        self._update(self.weight_decay)
 
 
 class LinearWarmupSchedule:
     """Linear warmup to ``base_lr`` then linear decay to zero."""
 
     def __init__(self, optimizer: _Optimizer, warmup_steps: int, total_steps: int) -> None:
+        """Drive ``optimizer.lr`` over ``total_steps``, the first ``warmup_steps`` rising."""
         if total_steps <= 0 or warmup_steps < 0 or warmup_steps > total_steps:
             raise ConfigurationError("invalid warmup/total step counts")
         self.optimizer = optimizer

@@ -134,9 +134,16 @@ class Tensor:
             return Tensor(data)
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned`` marks an array the backward built for this call alone; a
+        C-contiguous one is kept instead of copied.  Anything else (the
+        child's own gradient, a view of it) is copied, because a later
+        ``+=`` would otherwise write through to the other holder.
+        """
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned and grad.flags.c_contiguous else grad.copy()
         else:
             self.grad += grad
 
@@ -191,7 +198,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, owned=True)
 
         return self._make(-self.data, (self,), backward)
 
@@ -207,9 +214,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.shape))
+                self._accumulate(_unbroadcast(grad * other.data, self.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.shape))
+                other._accumulate(_unbroadcast(grad * self.data, other.shape), owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -228,7 +235,7 @@ class Tensor:
         out_data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1.0))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1.0), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -239,10 +246,10 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 ga = grad @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(ga, self.shape))
+                self._accumulate(_unbroadcast(ga, self.shape), owned=True)
             if other.requires_grad:
                 gb = np.swapaxes(self.data, -1, -2) @ grad
-                other._accumulate(_unbroadcast(gb, other.shape))
+                other._accumulate(_unbroadcast(gb, other.shape), owned=True)
 
         return self._make(out_data, (self, other), backward)
 
@@ -255,7 +262,7 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape).copy(), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -274,13 +281,13 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate(grad * out_data, owned=True)
 
         return self._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, owned=True)
 
         return self._make(np.log(self.data), (self,), backward)
 
@@ -288,7 +295,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data * out_data))
+            self._accumulate(grad * (1.0 - out_data * out_data), owned=True)
 
         return self._make(out_data, (self,), backward)
 
@@ -296,7 +303,7 @@ class Tensor:
         mask = self.data > 0
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, owned=True)
 
         return self._make(self.data * mask, (self,), backward)
 
@@ -330,11 +337,22 @@ class Tensor:
 
     def __getitem__(self, index: object) -> "Tensor":
         out_data = self.data[index]
+        # Basic indexing (ints, slices, None, ...) selects each element at
+        # most once, so its gradient is a plain assignment; an integer
+        # array may repeat an element and needs the scatter-add.
+        basic = all(
+            item is None or item is Ellipsis or isinstance(item, slice)
+            or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+            for item in (index if isinstance(index, tuple) else (index,))
+        )
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
-            self._accumulate(full)
+            if basic:
+                full[index] = grad
+            else:
+                np.add.at(full, index, grad)
+            self._accumulate(full, owned=True)
 
         return self._make(np.asarray(out_data), (self,), backward)
 
@@ -344,7 +362,7 @@ class Tensor:
         out_data = np.where(mask, value, self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(np.where(mask, 0.0, grad))
+            self._accumulate(np.where(mask, 0.0, grad), owned=True)
 
         return self._make(out_data, (self,), backward)
 

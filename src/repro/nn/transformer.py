@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import fastpath
 from . import functional as F
 from .attention import MultiHeadAttention
 from .fastpath import PreparedPaddingMask
@@ -124,8 +125,11 @@ class _EmbeddingStem(Module):
 
     def forward(self, ids: np.ndarray, flags: np.ndarray | None = None) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
-        positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
-        x = self.tokens(ids) + self.positions(positions)
+        length = ids.shape[1]
+        fastpath.check_length(length, self.positions.weight.shape[0])
+        # One (length, dim) slice of the position table broadcast over the
+        # batch: its gradient is the batch sum, assigned into the table.
+        x = self.tokens(ids) + self.positions.weight[:length]
         if flags is not None:
             x = x + self.flags(np.asarray(flags, dtype=np.int64))
         return self.drop(x)

@@ -153,6 +153,26 @@ class TestTrainer:
         train_classifier(model, data, config, rng)
         assert not model.training
 
+    def test_explicit_zero_learning_rate_is_refused(self):
+        # 0.0 is a rate, not "use the config's": the optimizer must refuse it.
+        rng = np.random.default_rng(0)
+        model = _model("encoder", rng)
+        data = _toy_task(np.random.default_rng(1))
+        config = StudyConfig(name="t", seeds=(0,), epochs=1)
+        with pytest.raises(ConfigurationError, match="learning rate must be positive"):
+            train_classifier(model, data, config, rng, learning_rate=0.0)
+
+    def test_learning_rate_defaults_to_config(self):
+        data = _toy_task(np.random.default_rng(1))
+        config = StudyConfig(name="t", seeds=(0,), epochs=1, learning_rate=5e-3)
+        trained = []
+        for rate in (None, 5e-3):
+            model = _model("encoder", np.random.default_rng(0))
+            train_classifier(model, data, config, np.random.default_rng(2), learning_rate=rate)
+            trained.append(model.state_dict())
+        for name, weights in trained[0].items():
+            assert np.array_equal(weights, trained[1][name]), name
+
     def test_predict_proba_range(self):
         rng = np.random.default_rng(0)
         model = _model("encoder", rng)
