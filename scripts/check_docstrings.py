@@ -15,8 +15,9 @@ gate on it; the default targets are the packages held at 100%:
 ``repro.llm``, ``repro.runtime``, ``repro.reliability``, ``repro.serving``,
 ``repro.obs``, ``repro.routing``, plus the fused kernels and ops shared
 by training and inference (``repro.nn.fastpath``, ``repro.nn.functional``),
-the optimizers (``repro.nn.optim``), the trace-report script and the
-obs/inference/routing benchmarks.
+the optimizers (``repro.nn.optim``), the MatchGPT and ZeroER matchers
+(``repro.matchers.matchgpt``, ``repro.matchers.zeroer``), the trace-report
+script and the obs/inference/routing benchmarks.
 
 Usage::
 
@@ -43,6 +44,8 @@ DEFAULT_TARGETS = (
     "src/repro/nn/fastpath.py",
     "src/repro/nn/functional.py",
     "src/repro/nn/optim.py",
+    "src/repro/matchers/matchgpt.py",
+    "src/repro/matchers/zeroer.py",
     "benchmarks/bench_inference.py",
     "benchmarks/bench_obs.py",
     "benchmarks/bench_routing.py",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,12 +168,16 @@ def select_hand_picked(transfer_datasets: list[EMDataset]) -> tuple[Demonstratio
 
 
 def select_random(
-    transfer_datasets: list[EMDataset],
+    pool: Sequence[RecordPair],
     rng: np.random.Generator,
     n_demos: int = 3,
 ) -> tuple[Demonstration, ...]:
-    """Uniformly sample ``n_demos`` labelled pairs across transfer datasets."""
-    pool: list[RecordPair] = [p for ds in transfer_datasets for p in ds.pairs]
+    """Uniformly sample ``n_demos`` distinct labelled pairs from ``pool``.
+
+    ``pool`` is the transfer datasets' pairs flattened in dataset order,
+    built once per fit by the caller: it is fixed for a fit, and only the
+    ``n_demos``-index draw belongs to each request.
+    """
     if len(pool) < n_demos:
         raise PromptError("not enough transfer pairs for random demonstrations")
     idx = rng.choice(len(pool), size=n_demos, replace=False)

@@ -59,6 +59,14 @@ class MatchGPTMatcher(Matcher):
         display_name: str | None = None,
         params_millions: float = 0.0,
     ) -> None:
+        """Prompt ``client`` for yes/no match decisions.
+
+        ``demo_strategy`` chooses Table 4's in-context examples (none by
+        default).  ``meter`` accounts token usage; when ``None`` each
+        ``predict`` meters into a fresh one.  ``display_name`` is the
+        table label (``MatchGPT[<model>]`` by default) and
+        ``params_millions`` the nominal model size reported beside it.
+        """
         super().__init__()
         self.client = client
         self.demo_strategy = demo_strategy
@@ -66,14 +74,21 @@ class MatchGPTMatcher(Matcher):
         self.display_name = display_name or f"MatchGPT[{client.model_name}]"
         self.name = f"matchgpt-{client.model_name}"
         self.params_millions = params_millions
-        self._transfer: list[EMDataset] = []
+        self._pool: tuple[RecordPair, ...] = ()
         self._fixed_demos: tuple[Demonstration, ...] = ()
         self._demo_rng: np.random.Generator | None = None
         self._retriever: DemonstrationRetriever | None = None
 
     def _fit(self, transfer: list[EMDataset], config: StudyConfig, seed: int) -> None:
-        """No fine-tuning; only demonstration sources are prepared."""
-        self._transfer = transfer
+        """No fine-tuning; only demonstration sources are prepared.
+
+        Each source is built once per fit: the hand-picked triple, the
+        retrieval index, or the random strategy's pool, which is every
+        transfer pair flattened in dataset order.  Each random request
+        then only draws its indices from the pool.  A strategy that needs
+        transfer pairs and gets none raises ``MatcherError`` here, not at
+        the first ``predict``.
+        """
         self._demo_rng = np.random.default_rng(seed)
         if self.demo_strategy is DemonstrationStrategy.HAND_PICKED:
             if not transfer:
@@ -83,6 +98,11 @@ class MatchGPTMatcher(Matcher):
             if not transfer:
                 raise MatcherError("retrieved demonstrations need transfer datasets")
             self._retriever = DemonstrationRetriever(transfer)
+        elif self.demo_strategy is DemonstrationStrategy.RANDOM:
+            pool = tuple(p for ds in transfer for p in ds.pairs)
+            if not pool:
+                raise MatcherError("random demonstrations need transfer datasets")
+            self._pool = pool
 
     def _demos_for(
         self, _pair: RecordPair, left_text: str, right_text: str
@@ -93,9 +113,7 @@ class MatchGPTMatcher(Matcher):
             return self._fixed_demos
         if self.demo_strategy is DemonstrationStrategy.RETRIEVED:
             return self._retriever.retrieve(left_text, right_text)
-        if not self._transfer:
-            raise MatcherError("random demonstrations need transfer datasets")
-        return select_random(self._transfer, self._demo_rng)
+        return select_random(self._pool, self._demo_rng)
 
     def prompt_for(self, pair: RecordPair, serialization_seed: int | None = None) -> str:
         """The exact prompt sent for one candidate pair (useful for debugging)."""

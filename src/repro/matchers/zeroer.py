@@ -53,12 +53,20 @@ class ZeroERMatcher(Matcher):
         reg: float = 1e-3,
         min_pairs: int = 8,
     ) -> None:
+        """Score pairs whose columns have the types ``attribute_kinds``.
+
+        ``reg`` is the covariance regularisation added to each mixture
+        component, and ``min_pairs`` the smallest candidate set the
+        mixture is estimated from.
+        """
         super().__init__()
         if not attribute_kinds:
             raise MatcherError("ZeroER needs the column types of the target relations")
         self.attribute_kinds = attribute_kinds
         self.reg = reg
         self.min_pairs = min_pairs
+        #: The last candidate set scored and its (read-only) posterior.
+        self._scored: tuple[tuple[RecordPair, ...], np.ndarray] | None = None
 
     # -- feature construction --------------------------------------------------
 
@@ -116,11 +124,18 @@ class ZeroERMatcher(Matcher):
 
         ``serialization_seed`` is accepted for interface uniformity and
         ignored — ZeroER works on typed columns, not serialised text.
+        The posterior of the last candidate set is kept, and a set equal
+        to it pair by pair gets it back (read-only) without recomputing:
+        the leave-one-out runner scores one test set once per seed, so
+        features, TF-IDF and the mixture then run once per target.
         """
         if len(pairs) < self.min_pairs:
             raise MatcherError(
                 f"ZeroER is batch-only and needs >= {self.min_pairs} candidate pairs"
             )
+        key = tuple(pairs)
+        if self._scored is not None and self._scored[0] == key:
+            return self._scored[1]
         X = self._features(pairs)
         aggregate = X.mean(axis=1)
         threshold = np.quantile(aggregate, _INIT_MATCH_QUANTILE)
@@ -132,6 +147,8 @@ class ZeroERMatcher(Matcher):
         high = aggregate >= threshold
         if high.any() and posterior[high].mean() < 0.5:
             posterior = 1.0 - posterior
+        posterior.flags.writeable = False
+        self._scored = (key, posterior)
         return posterior
 
     def _predict(self, pairs: list[RecordPair], serialization_seed: int | None) -> np.ndarray:

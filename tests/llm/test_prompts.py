@@ -93,22 +93,27 @@ class TestHandPicked:
             select_hand_picked([])
 
 
+@pytest.fixture(scope="module")
+def pool(transfer):
+    return [p for ds in transfer for p in ds.pairs]
+
+
 class TestRandom:
-    def test_count_and_origin(self, transfer):
+    def test_count_and_origin(self, pool):
         rng = np.random.default_rng(0)
-        demos = select_random(transfer, rng)
+        demos = select_random(pool, rng)
         assert len(demos) == 3
 
-    def test_seeded_reproducible(self, transfer):
-        a = select_random(transfer, np.random.default_rng(5))
-        b = select_random(transfer, np.random.default_rng(5))
+    def test_seeded_reproducible(self, pool):
+        a = select_random(pool, np.random.default_rng(5))
+        b = select_random(pool, np.random.default_rng(5))
         assert a == b
 
-    def test_varies_across_draws(self, transfer):
+    def test_varies_across_draws(self, pool):
         rng = np.random.default_rng(0)
-        draws = {select_random(transfer, rng) for _ in range(5)}
+        draws = {select_random(pool, rng) for _ in range(5)}
         assert len(draws) > 1
 
-    def test_insufficient_pool_raises(self, transfer):
+    def test_insufficient_pool_raises(self, pool):
         with pytest.raises(PromptError):
-            select_random(transfer, np.random.default_rng(0), n_demos=10**9)
+            select_random(pool, np.random.default_rng(0), n_demos=10**9)

@@ -21,7 +21,8 @@ def transfer():
 
 class TestPromptCosts:
     def test_demonstrations_multiply_prompt_length(self, transfer):
-        demos = select_random(transfer, np.random.default_rng(0))
+        pool = [p for ds in transfer for p in ds.pairs]
+        demos = select_random(pool, np.random.default_rng(0))
         bare = build_match_prompt("val sony mdr", "val sony mdr v2")
         with_demos = build_match_prompt("val sony mdr", "val sony mdr v2", demos)
         assert count_tokens(with_demos) > 2 * count_tokens(bare)

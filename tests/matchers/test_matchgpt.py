@@ -6,17 +6,35 @@ import numpy as np
 import pytest
 
 from repro.data import build_dataset
+from repro.data.serialize import serialize_record
 from repro.errors import MatcherError
 from repro.llm import (
+    Demonstration,
     DemonstrationStrategy,
     EchoClient,
     SimulatedLLM,
     UsageMeter,
+    build_match_prompt,
     get_profile,
 )
 from repro.matchers import JellyfishMatcher, MatchGPTMatcher
+from repro.matchers.encoding import pair_text
 
 from ..conftest import make_pair
+
+
+def _reference_select_random(transfer, rng, n_demos=3):
+    """Random demonstrations drawn by flattening ``transfer`` on every call.
+
+    The reference for the pool ``MatchGPTMatcher`` builds once per fit: the
+    same ``rng.choice`` over the same pair order.
+    """
+    pool = [p for ds in transfer for p in ds.pairs]
+    picked = [pool[int(i)] for i in rng.choice(len(pool), size=n_demos, replace=False)]
+    return tuple(
+        Demonstration(serialize_record(p.left), serialize_record(p.right), p.label)
+        for p in picked
+    )
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +92,30 @@ class TestMatchGPT:
         p2 = matcher.prompt_for(dataset.pairs[0])
         assert p1 != p2  # per-call random selection
 
+    def test_random_demos_equal_per_call_flattening(self, tiny_config, abt):
+        dataset, _world = abt
+        transfer = [
+            build_dataset(c, scale=0.05, seed=7)[0] for c in ("BEER", "FOZA", "DBAC")
+        ]
+        assert len({len(ds) for ds in transfer}) == 3
+        matcher = MatchGPTMatcher(
+            EchoClient("No"), demo_strategy=DemonstrationStrategy.RANDOM
+        ).fit(transfer, tiny_config, seed=4)
+        reference_rng = np.random.default_rng(4)
+        for i, pair in enumerate(dataset.pairs[:60]):
+            left, right = pair_text(pair, i % 3)
+            demos = _reference_select_random(transfer, reference_rng)
+            assert matcher.prompt_for(pair, i % 3) == build_match_prompt(left, right, demos)
+
     def test_hand_picked_without_transfer_raises(self, tiny_config):
         client = EchoClient("No")
         matcher = MatchGPTMatcher(client, demo_strategy=DemonstrationStrategy.HAND_PICKED)
+        with pytest.raises(MatcherError):
+            matcher.fit([], tiny_config)
+
+    def test_random_without_transfer_raises(self, tiny_config):
+        client = EchoClient("No")
+        matcher = MatchGPTMatcher(client, demo_strategy=DemonstrationStrategy.RANDOM)
         with pytest.raises(MatcherError):
             matcher.fit([], tiny_config)
 
