@@ -16,8 +16,10 @@ gate on it; the default targets are the packages held at 100%:
 ``repro.obs``, ``repro.routing``, plus the fused kernels and ops shared
 by training and inference (``repro.nn.fastpath``, ``repro.nn.functional``),
 the optimizers (``repro.nn.optim``), the MatchGPT and ZeroER matchers
-(``repro.matchers.matchgpt``, ``repro.matchers.zeroer``), the trace-report
-script and the obs/inference/routing benchmarks.
+(``repro.matchers.matchgpt``, ``repro.matchers.zeroer``), the record
+serialisation and entity world the simulated LLM reads
+(``repro.data.serialize``, ``repro.data.world``), the trace-report script
+and the obs/inference/routing benchmarks.
 
 Usage::
 
@@ -46,6 +48,8 @@ DEFAULT_TARGETS = (
     "src/repro/nn/optim.py",
     "src/repro/matchers/matchgpt.py",
     "src/repro/matchers/zeroer.py",
+    "src/repro/data/serialize.py",
+    "src/repro/data/world.py",
     "benchmarks/bench_inference.py",
     "benchmarks/bench_obs.py",
     "benchmarks/bench_routing.py",

@@ -86,16 +86,21 @@ def serialize_record(record: Record, order: tuple[int, ...] | None = None) -> st
 _VALUE_SPLIT_RE = re.compile(rf"(?:^|\s){VALUE_MARKER}(?:\s|$)")
 
 
+def _value_parts(text: str) -> list[str]:
+    """The raw text after each value marker; raises if there is none."""
+    parts = _VALUE_SPLIT_RE.split(text)
+    if len(parts) < 2:
+        raise SerializationError(f"not a serialised record: {text[:60]!r}")
+    return parts[1:]
+
+
 def deserialize_values(text: str) -> list[str]:
     """Recover the attribute values from a serialised record.
 
     The inverse of :func:`serialize_record` up to whitespace normalisation
     and value order (the seeded permutation is not recoverable).
     """
-    parts = _VALUE_SPLIT_RE.split(text)
-    if len(parts) < 2:
-        raise SerializationError(f"not a serialised record: {text[:60]!r}")
-    return [" ".join(part.split()) for part in parts[1:]]
+    return [" ".join(part.split()) for part in _value_parts(text)]
 
 
 def fingerprint_serialized(text: str) -> str:
@@ -103,9 +108,12 @@ def fingerprint_serialized(text: str) -> str:
 
     Both normalise (lowercase, collapsed whitespace) and sort values, so a
     record and its serialisation under any column permutation agree.
+
+    Each value is normalised once, straight from its split part: this equals
+    normalising whitespace before lowercasing as well, because ``str.lower``
+    never turns a whitespace character into a non-whitespace one or back.
     """
-    values = deserialize_values(text)
-    return "␟".join(sorted(" ".join(v.lower().split()) for v in values))
+    return "␟".join(sorted(" ".join(part.lower().split()) for part in _value_parts(text)))
 
 
 def serialize_pair(pair: RecordPair, seed: int | None = None) -> str:

@@ -28,6 +28,7 @@ class EntityWorld:
         self._mean_hardness_cache: dict[tuple[str, bool], float] = {}
 
     def register(self, record: Record) -> None:
+        """Map ``record``'s fingerprint to its entity; the first registration wins."""
         fp = record.fingerprint()
         existing = self._entity_of.get(fp)
         if existing is not None and existing != record.entity_id:
@@ -37,6 +38,7 @@ class EntityWorld:
         self._entity_of[fp] = record.entity_id
 
     def register_pair_hardness(self, left: Record, right: Record, hardness: float) -> None:
+        """Record how hard the pair is to decide, under an order-free pair key."""
         key = self._pair_key(left.fingerprint(), right.fingerprint())
         self._hardness_of[key] = hardness
 
@@ -45,6 +47,7 @@ class EntityWorld:
         return (fp_left, fp_right) if fp_left <= fp_right else (fp_right, fp_left)
 
     def entity_of(self, fingerprint: str) -> str | None:
+        """The entity registered for ``fingerprint`` (None = unknown)."""
         return self._entity_of.get(fingerprint)
 
     def same_entity(self, fp_left: str, fp_right: str) -> bool | None:
@@ -56,6 +59,7 @@ class EntityWorld:
         return left == right
 
     def hardness(self, fp_left: str, fp_right: str, default: float = 0.5) -> float:
+        """Registered hardness of a pair in either order, else ``default``."""
         return self._hardness_of.get(self._pair_key(fp_left, fp_right), default)
 
     def mean_hardness(self, dataset_code: str, is_match: bool, default: float = 0.5) -> float:
@@ -85,10 +89,15 @@ class EntityWorld:
         return mean
 
     def merge(self, other: "EntityWorld") -> "EntityWorld":
-        """Union of two worlds (used when simulating over many datasets)."""
+        """Union of two worlds (used when simulating over many datasets).
+
+        A fingerprint both worlds hold keeps this world's entity, as
+        :meth:`register` keeps the first registration.
+        """
         merged = EntityWorld()
         merged._entity_of.update(self._entity_of)
-        merged._entity_of.update(other._entity_of)
+        for fp, entity in other._entity_of.items():
+            merged._entity_of.setdefault(fp, entity)
         merged._hardness_of.update(self._hardness_of)
         merged._hardness_of.update(other._hardness_of)
         return merged
@@ -100,6 +109,7 @@ class EntityWorld:
         return fingerprint in self._entity_of
 
     def require(self, fingerprint: str) -> str:
+        """The entity registered for ``fingerprint``; raises DatasetError if unknown."""
         entity = self._entity_of.get(fingerprint)
         if entity is None:
             raise DatasetError("fingerprint not registered in this world")

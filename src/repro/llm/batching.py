@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from ..errors import LLMError
 from ..obs.trace import span
 from .client import LLMClient, LLMRequest, LLMResponse, UsageMeter
+from .tokens import count_tokens
 
 __all__ = ["BatchResult", "BatchJob"]
 
@@ -189,7 +190,7 @@ class BatchJob:
             raise LLMError(f"executor must be a StudyExecutor, got {type(executor)!r}")
         size = chunk_size or default_chunk_size(len(self._requests), executor.workers)
         if bucket_by_length:
-            lengths = [len(request.prompt.split()) for request in self._requests]
+            lengths = [count_tokens(request.prompt) for request in self._requests]
             chunks = [
                 [(int(index), self._requests[int(index)]) for index in bucket]
                 for bucket in length_buckets(lengths, size)

@@ -19,6 +19,15 @@ from repro.errors import SerializationError
 
 from ..conftest import make_pair
 
+# Whitespace ``str.split`` cuts on, ASCII and beyond.
+_SPACES = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2003\u2028\u2029\u202f\u3000"
+
+
+def _reference_fingerprint(text: str) -> str:
+    """Deserialise, then lowercase and normalise each value once more."""
+    values = deserialize_values(text)
+    return "␟".join(sorted(" ".join(v.lower().split()) for v in values))
+
 
 class TestColumnOrder:
     def test_none_seed_keeps_natural_order(self):
@@ -109,3 +118,36 @@ class TestDeserialize:
         record = Record("r", tuple(values), "e1")
         text = serialize_record(record)
         assert fingerprint_serialized(text) == record.fingerprint()
+
+
+class TestFingerprintParity:
+    """``fingerprint_serialized`` equals the deserialise-then-normalise version."""
+
+    _value = st.one_of(
+        st.just(""),
+        st.just("val"),
+        st.just("VAL"),
+        st.text(alphabet=st.sampled_from([*"aZ9-.ΣσςİßÉé٣日", *_SPACES]), max_size=12),
+    )
+    _gap = st.text(alphabet=st.sampled_from(list(_SPACES)), min_size=1, max_size=3)
+
+    @given(st.lists(st.tuples(_gap, _value, _gap), min_size=1, max_size=5), st.text(max_size=6))
+    @settings(max_examples=300)
+    def test_marked_values(self, slots, prefix):
+        text = prefix + "".join(f"{lead}val{gap}{value}" for lead, value, gap in slots)
+        assert fingerprint_serialized(text) == _reference_fingerprint(text)
+
+    @given(st.text(max_size=40), st.text(max_size=40))
+    @settings(max_examples=300)
+    def test_any_text_around_a_marker(self, before, after):
+        text = f"{before} val {after}"
+        assert fingerprint_serialized(text) == _reference_fingerprint(text)
+
+    def test_value_equal_to_marker(self):
+        record = Record("r", ("val", "Sony  MDR", ""), "e1")
+        text = serialize_record(record)
+        assert fingerprint_serialized(text) == _reference_fingerprint(text)
+
+    def test_no_marker_raises(self):
+        with pytest.raises(SerializationError):
+            fingerprint_serialized("just plain text")

@@ -67,6 +67,23 @@ class TestEntityWorld:
         merged = world.merge(other)
         assert len(merged) == len(world) + 1
 
+    def test_merge_keeps_first_registration(self):
+        # A fingerprint both worlds hold keeps the earlier world's entity,
+        # as registering both records into one world would.
+        first, later = EntityWorld(), EntityWorld()
+        first.register(Record("a", ("Same  Text",), "X:e1"))
+        later.register(Record("b", ("same text",), "Y:e7"))
+        later.register(Record("c", ("other",), "Y:e8"))
+        fp = Record("a", ("same text",), "X:e1").fingerprint()
+        assert first.merge(later).entity_of(fp) == "X:e1"
+        assert later.merge(first).entity_of(fp) == "Y:e7"
+        assert len(first.merge(later)) == 2
+
+        sequential = EntityWorld()
+        for record in (Record("a", ("Same  Text",), "X:e1"), Record("b", ("same text",), "Y:e7")):
+            sequential.register(record)
+        assert sequential.entity_of(fp) == first.merge(later).entity_of(fp)
+
     def test_require_raises_for_unknown(self, world):
         with pytest.raises(DatasetError):
             world.require("unknown-fingerprint")

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import LLMError, PromptError
 from repro.llm.batching import BatchJob
 from repro.llm.client import EchoClient, LLMClient, LLMRequest, LLMResponse, UsageMeter
+from repro.llm.tokens import count_tokens
 from repro.runtime.executor import ProcessStudyExecutor, ThreadStudyExecutor
 
 
@@ -19,6 +20,19 @@ class _PickyClient(LLMClient):
         if "bad" in request.prompt:
             raise PromptError("refused")
         return LLMResponse("Yes", self.model_name, 5, 1)
+
+
+class _RecordingClient(LLMClient):
+    """Answers "No" and remembers the order in which prompts arrive."""
+
+    model_name = "recording"
+
+    def __init__(self) -> None:
+        self.seen: list[str] = []
+
+    def complete(self, request: LLMRequest) -> LLMResponse:
+        self.seen.append(request.prompt)
+        return LLMResponse("No", self.model_name, 1, 1)
 
 
 class TestBatchJob:
@@ -176,6 +190,18 @@ class TestLengthBucketing:
         bucketed.process(chunk_size=3, bucket_by_length=True)
         assert bucketed.texts() == serial.texts()
         assert [r.index for r in bucketed.results] == [r.index for r in serial.results]
+
+    def test_buckets_follow_token_counts_not_words(self):
+        # One 40-character word is 7 tokens; three short words are 3 tokens,
+        # so word order and token order disagree.
+        long_word, short_words = "x" * 40, "ab cd ef"
+        assert count_tokens(long_word) > count_tokens(short_words)
+        client = _RecordingClient()
+        job = BatchJob(client)
+        job.submit_many([long_word, short_words])
+        job.process(chunk_size=1, bucket_by_length=True)
+        assert client.seen == [short_words, long_word]
+        assert [r.index for r in job.results] == [0, 1]
 
     def test_bucketed_failures_keep_submission_indices(self):
         prompts = ["good " * 5, "a bad one", "good", "longer bad text here"]
