@@ -1,14 +1,4 @@
-"""Resilience bench: hedged tail latency and breaker availability.
-
-Two claims from the resilience control plane are made measurable:
-
-**Hedging cuts the tail.**  A workload whose calls usually finish in
-~1 ms but straggle to ~30 ms once every 20 requests is run twice — bare,
-and under a :class:`repro.reliability.hedge.HedgedCall` with a ~4 ms
-hedge delay.  The hedged p99 must be at least 1.5x better, and because
-both attempts compute the same pure function, the answer stream must be
-byte-identical to the unhedged run (hedging may only change *when* an
-answer arrives, never *what* it is).
+"""Resilience bench: breaker availability under a flapping backend.
 
 **Breakers buy availability per backend call.**  A two-rung router
 escalates every pair to an authority that goes down for a window of the
@@ -30,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -43,19 +32,12 @@ from repro.errors import TransientLLMError
 from repro.matchers.base import Matcher
 from repro.reliability.breaker import STATE_CLOSED, CircuitBreaker
 from repro.reliability.clock import FakeClock
-from repro.reliability.hedge import HedgedCall
 from repro.routing import MatchRouter, RoutedBackend
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _OUT_PATH = _REPO_ROOT / "BENCH_resilience.json"
 
-#: Hedging workload shape: mostly-fast calls with a periodic straggler.
-_BASE_LATENCY_S = 0.001
-_STRAGGLER_LATENCY_S = 0.030
-_STRAGGLER_EVERY = 20
-_HEDGE_DELAY_S = 0.004
 #: Acceptance bars the checked-in result must clear.
-_MIN_P99_RATIO = 1.5
 _MIN_CALL_REDUCTION = 2.0
 _MIN_STALL_REDUCTION = 2.0
 
@@ -67,74 +49,7 @@ _FLAP_FAIL_STALL_S = 1.0
 _FLAP_OK_STALL_S = 0.01
 
 
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty sample."""
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
-    return ordered[rank]
-
-
-# -- scenario 1: hedged tail latency ------------------------------------------
-
-
-def _bench_hedging(n_calls: int) -> dict:
-    """Race the straggler workload bare vs hedged; compare the p99s."""
-
-    def answer(i: int) -> int:
-        return i % 2
-
-    def duration(i: int, attempt: int) -> float:
-        # Only the primary attempt straggles: the hedge is a fresh call
-        # that lands on a healthy replica, the Dean & Barroso premise.
-        if attempt == 0 and i % _STRAGGLER_EVERY == 0:
-            return _STRAGGLER_LATENCY_S
-        return _BASE_LATENCY_S
-
-    bare_latencies, bare_answers = [], []
-    for i in range(n_calls):
-        started = time.monotonic()
-        time.sleep(duration(i, 0))
-        bare_answers.append(answer(i))
-        bare_latencies.append(time.monotonic() - started)
-
-    hedge = HedgedCall(hedge_delay_s=_HEDGE_DELAY_S, count=False)
-    hedged_latencies, hedged_answers = [], []
-    for i in range(n_calls):
-
-        def attempt(index: int, _cancel, i=i) -> int:
-            time.sleep(duration(i, index))
-            return answer(i)
-
-        started = time.monotonic()
-        hedged_answers.append(hedge.call(attempt))
-        hedged_latencies.append(time.monotonic() - started)
-
-    bare_p99 = _percentile(bare_latencies, 0.99)
-    hedged_p99 = _percentile(hedged_latencies, 0.99)
-    identical = json.dumps(bare_answers) == json.dumps(hedged_answers)
-    return {
-        "calls": n_calls,
-        "straggler_every": _STRAGGLER_EVERY,
-        "base_latency_ms": 1000.0 * _BASE_LATENCY_S,
-        "straggler_latency_ms": 1000.0 * _STRAGGLER_LATENCY_S,
-        "hedge_delay_ms": 1000.0 * _HEDGE_DELAY_S,
-        "bare": {
-            "p50_ms": round(1000.0 * _percentile(bare_latencies, 0.50), 3),
-            "p99_ms": round(1000.0 * bare_p99, 3),
-        },
-        "hedged": {
-            "p50_ms": round(1000.0 * _percentile(hedged_latencies, 0.50), 3),
-            "p99_ms": round(1000.0 * hedged_p99, 3),
-            "hedges_launched": int(hedge.counters["hedges_launched"]),
-            "hedge_wins": int(hedge.counters["hedge_wins"]),
-            "hedge_waste": int(hedge.counters["hedge_waste"]),
-        },
-        "p99_ratio": round(bare_p99 / max(hedged_p99, 1e-9), 2),
-        "answers_identical": identical,
-    }
-
-
-# -- scenario 2: breaker availability under a flapping backend -----------------
+# -- the drill: breaker availability under a flapping backend ------------------
 
 
 class _MidScorer(Matcher):
@@ -264,8 +179,7 @@ def _bench_flapping(n_requests: int) -> dict:
 
 
 def run_bench(smoke: bool = False, out_path: Path = _OUT_PATH) -> dict:
-    """Run both scenarios, assert the acceptance bars, write the doc."""
-    hedging = _bench_hedging(n_calls=100 if smoke else 400)
+    """Run the drill, assert the acceptance bars, write the doc."""
     flapping = _bench_flapping(n_requests=200 if smoke else 600)
 
     availability_ok = (
@@ -273,9 +187,6 @@ def run_bench(smoke: bool = False, out_path: Path = _OUT_PATH) -> dict:
         and flapping["breaker"]["answered"] == flapping["breaker"]["requests"]
     )
     criteria = {
-        "p99_ratio": hedging["p99_ratio"],
-        "p99_ratio_target": _MIN_P99_RATIO,
-        "answers_identical": hedging["answers_identical"],
         "availability_1_0_both_arms": availability_ok,
         "call_reduction": flapping["call_reduction"],
         "call_reduction_target": _MIN_CALL_REDUCTION,
@@ -283,21 +194,17 @@ def run_bench(smoke: bool = False, out_path: Path = _OUT_PATH) -> dict:
         "stall_reduction_target": _MIN_STALL_REDUCTION,
     }
     criteria["passed"] = (
-        criteria["p99_ratio"] >= _MIN_P99_RATIO
-        and criteria["answers_identical"]
-        and availability_ok
+        availability_ok
         and criteria["call_reduction"] >= _MIN_CALL_REDUCTION
         and criteria["stall_reduction"] >= _MIN_STALL_REDUCTION
     )
     document = {
         "bench": "resilience",
         "profile": "bench-resilience" + ("-smoke" if smoke else ""),
-        "hedging": hedging,
         "flapping_backend": flapping,
         "criteria": criteria,
         "note": (
-            "hedging races real sleeps, so the p99s are wall-clock; the "
-            "flapping drill runs entirely on a FakeClock, so its stall "
+            "the flapping drill runs entirely on a FakeClock, so its stall "
             "seconds are simulated and deterministic.  Both arms of the "
             "flapping drill answer every request — backend failure "
             "degrades to the band midpoint (backend_failed) and an open "
@@ -309,12 +216,6 @@ def run_bench(smoke: bool = False, out_path: Path = _OUT_PATH) -> dict:
     assert flapping["breaker"]["breaker"]["opens"] >= 1
     assert flapping["breaker"]["breaker"]["final_state"] == STATE_CLOSED
     out_path.write_text(json.dumps(document, indent=2) + "\n")
-    print(
-        f"[bench_resilience] hedging p99 {hedging['bare']['p99_ms']}ms -> "
-        f"{hedging['hedged']['p99_ms']}ms ({hedging['p99_ratio']}x), "
-        f"answers identical: {hedging['answers_identical']}",
-        flush=True,
-    )
     print(
         f"[bench_resilience] flapping: doomed calls "
         f"{flapping['no_breaker']['authority_failures']} -> "
@@ -328,13 +229,11 @@ def run_bench(smoke: bool = False, out_path: Path = _OUT_PATH) -> dict:
 
 
 def test_resilience_bench_smoke(tmp_path):
-    """CI smoke: both scenarios clear their bars at the smoke scale."""
+    """CI smoke: the drill clears its bars at the smoke scale."""
     document = run_bench(
         smoke=True, out_path=tmp_path / "BENCH_resilience_smoke.json"
     )
     assert document["criteria"]["passed"]
-    assert document["hedging"]["answers_identical"]
-    assert document["hedging"]["hedged"]["hedges_launched"] >= 1
     flapping = document["flapping_backend"]
     assert flapping["breaker"]["answered"] == flapping["breaker"]["requests"]
     assert flapping["breaker"]["breaker"]["final_state"] == STATE_CLOSED

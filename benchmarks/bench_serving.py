@@ -96,7 +96,7 @@ def _run_load(
         lo = client_id * per_client
         for i in range(lo, lo + per_client):
             try:
-                response = service.match_pairs([trace[i]], timeout_s=60.0)[0]
+                response = service.match_pairs([trace[i]], budget_s=60.0)[0]
             except Exception as error:  # pragma: no cover - bench diagnostics
                 with lock:
                     failures.append(f"request {i}: {error}")

@@ -34,19 +34,13 @@ class LLMRequest:
     #: Experiment bookkeeping (e.g. the demonstration strategy label).
     #: Metadata never carries labels or entity identities.
     metadata: dict[str, str] = field(default_factory=dict)
-    #: Per-request deadline in seconds, enforced cooperatively by
-    #: :class:`repro.reliability.RetryingClient` (``None`` defers to the
-    #: retry policy's ``default_timeout_s``, if any).
-    timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        """Reject empty prompts and non-positive budgets/deadlines."""
+        """Reject empty prompts and non-positive token budgets."""
         if not self.prompt:
             raise LLMError("empty prompt")
         if self.max_tokens <= 0:
             raise LLMError("max_tokens must be positive")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise LLMError("timeout_s must be positive")
 
 
 @dataclass(frozen=True)

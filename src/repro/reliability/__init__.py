@@ -22,11 +22,8 @@ hosted models:
 :mod:`repro.reliability.breaker`
     :class:`CircuitBreaker` — closed/open/half-open isolation of a
     persistently unhealthy backend over rolling failure-rate windows.
-:mod:`repro.reliability.hedge`
-    :class:`HedgedCall` — race a duplicate attempt against a straggler
-    for idempotent calls, first-result-wins with win/waste accounting.
 :mod:`repro.reliability.budget`
-    :class:`DeadlineBudget` — one request-scoped time budget carved
+    :class:`DeadlineBudget` — the one request-scoped time limit, carved
     across queueing, retries and router hops via ``remaining()``.
 :mod:`repro.reliability.wiring`
     Process-wide activation (``REPRO_RETRY`` / ``REPRO_FAULTS`` env
@@ -47,7 +44,6 @@ from .breaker import CircuitBreaker
 from .budget import DeadlineBudget
 from .clock import Clock, FakeClock, SystemClock
 from .faults import FaultInjector, FaultPlan
-from .hedge import HedgedCall
 from .policy import DEFAULT_POLICY, RetryPolicy, is_retryable
 from .retry import RetryingClient, validate_yes_no
 from .wiring import (
@@ -69,7 +65,6 @@ __all__ = [
     "FakeClock",
     "FaultInjector",
     "FaultPlan",
-    "HedgedCall",
     "RetryPolicy",
     "RetryingClient",
     "SystemClock",

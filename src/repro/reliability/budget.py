@@ -5,8 +5,14 @@ wait, retry attempts, router ladder hops — used to give *each* stage a
 fresh timeout, so the caller's total wait could silently overshoot any
 one of them.  :class:`DeadlineBudget` fixes the accounting: the caller
 sets one total budget at the edge (``MatchService.match_pair``'s
-``timeout_s``), the budget object travels with the request, and every
-stage asks :meth:`remaining` instead of inventing its own deadline.
+``budget_s``, or a :class:`~repro.reliability.policy.RetryPolicy`'s
+``default_timeout_s`` for one LLM request), the budget object travels
+with the request, and every stage asks it instead of inventing its own
+deadline.  It is the only time limit in the library, so "is the
+deadline spent?" (:attr:`~DeadlineBudget.expired`) and "does this
+backoff fit?" (:meth:`~DeadlineBudget.fits`) have one answer everywhere,
+including at the equality edge: a wait that would end exactly when the
+budget does is refused.
 
 Two exits exist for a request that cannot finish in time, and which one
 fires is a per-stage policy decision (documented in
@@ -43,38 +49,35 @@ class DeadlineBudget:
     a budget (each caller's wait is its own).
     """
 
-    def __init__(
-        self,
-        total_s: float,
-        clock: Clock | None = None,
-        started_at: float | None = None,
-    ) -> None:
-        """A budget of ``total_s`` seconds starting now.
-
-        ``started_at`` (a ``clock.monotonic()`` reading) backdates the
-        start — the admission path uses it so queue time spent before
-        the budget object existed still counts against the request.
-        """
+    def __init__(self, total_s: float, clock: Clock | None = None) -> None:
+        """A budget of ``total_s`` seconds starting now."""
         if total_s <= 0:
             raise ConfigurationError(f"total_s must be positive, got {total_s}")
         self.total_s = float(total_s)
         self.clock = clock or SystemClock()
-        self.started_at = (
-            self.clock.monotonic() if started_at is None else float(started_at)
-        )
+        self._started_at = self.clock.monotonic()
 
     def elapsed(self) -> float:
         """Seconds consumed so far (never negative)."""
-        return max(0.0, self.clock.monotonic() - self.started_at)
+        return max(0.0, self.clock.monotonic() - self._started_at)
 
     def remaining(self) -> float:
         """Seconds left, clamped at zero — what every stage waits on."""
         return max(0.0, self.total_s - self.elapsed())
 
+    def fits(self, delay_s: float) -> bool:
+        """Whether a wait of ``delay_s`` ends strictly before the budget.
+
+        ``remaining() == delay_s`` does *not* fit: a backoff that would
+        wake exactly at the deadline leaves no time for the attempt it
+        waits for.
+        """
+        return self.remaining() > delay_s
+
     @property
     def expired(self) -> bool:
-        """Whether the budget is fully consumed."""
-        return self.remaining() <= 0.0
+        """Whether the budget is fully consumed (not even a zero wait fits)."""
+        return not self.fits(0.0)
 
     def check(self, stage: str) -> None:
         """Raise if the budget is spent, naming the consuming ``stage``.
@@ -88,24 +91,3 @@ class DeadlineBudget:
                 f"{stage!r} (elapsed {self.elapsed():.3f}s)",
                 stage=stage,
             )
-
-    def stage_timeout(self, cap: float | None = None) -> float:
-        """The timeout one stage may spend: ``min(cap, remaining())``.
-
-        ``cap`` is the stage's own ceiling (``None`` = no ceiling); the
-        result is never negative, so an expired budget hands a stage a
-        zero timeout rather than a fresh one.
-        """
-        remaining = self.remaining()
-        if cap is None:
-            return remaining
-        return min(max(0.0, cap), remaining)
-
-    def as_dict(self) -> dict:
-        """JSON-ready budget accounting (for provenance and tests)."""
-        return {
-            "total_s": self.total_s,
-            "elapsed_s": round(self.elapsed(), 6),
-            "remaining_s": round(self.remaining(), 6),
-            "expired": self.expired,
-        }

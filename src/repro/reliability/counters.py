@@ -26,26 +26,23 @@ __all__ = [
 ]
 
 #: Counters for errors a degradation path *swallowed* rather than
-#: raised: a routed backend failure decided at a cheaper rung, a hedge
-#: loser's error discarded because the other attempt won, an unexpected
-#: (non-:class:`~repro.errors.ReproError`) exception on the serving
-#: request path.  Swallowing is the designed behaviour on those paths,
-#: but a silently rising total is how a masked bug announces itself —
-#: the serving ``/metrics`` endpoint surfaces these under
+#: raised: a routed backend failure decided at a cheaper rung, an
+#: unexpected (non-:class:`~repro.errors.ReproError`) exception on the
+#: serving request path.  Swallowing is the designed behaviour on those
+#: paths, but a silently rising total is how a masked bug announces
+#: itself — the serving ``/metrics`` endpoint surfaces these under
 #: ``resilience.swallowed_errors`` so it never takes a debugger to see
 #: them.
 SWALLOWED_ERROR_KEYS: tuple[str, ...] = (
     "routing_backend_errors",
-    "hedge_swallowed_errors",
     "serving_unexpected_errors",
 )
 
 #: Every key the global table tracks, in reporting order.  The
-#: ``breaker_*`` / ``hedge*`` keys are mirrored by the resilience
-#: control plane (:mod:`repro.reliability.breaker` /
-#: :mod:`repro.reliability.hedge`) so a run's breaker and hedging
-#: activity lands in the same ``runtime.reliability`` block of
-#: ``full_study.json`` as its retries and faults.
+#: ``breaker_*`` keys are mirrored by the resilience control plane
+#: (:mod:`repro.reliability.breaker`) so a run's breaker activity lands
+#: in the same ``runtime.reliability`` block of ``full_study.json`` as
+#: its retries and faults.
 COUNTER_KEYS: tuple[str, ...] = (
     "attempts",
     "request_retries",
@@ -61,11 +58,7 @@ COUNTER_KEYS: tuple[str, ...] = (
     "breaker_rejections",
     "breaker_failures",
     "breaker_slow_calls",
-    "hedges_launched",
-    "hedge_wins",
-    "hedge_waste",
     "routing_backend_errors",
-    "hedge_swallowed_errors",
     "serving_unexpected_errors",
 )
 

@@ -72,8 +72,10 @@ class RetryPolicy:
     jitter: float = 0.5
     #: Seed for the deterministic jitter draws.
     seed: int = 0
-    #: Default per-request deadline in seconds (``None`` = no deadline);
-    #: an explicit :attr:`repro.llm.client.LLMRequest.timeout_s` wins.
+    #: Per-request deadline in seconds (``None`` = no deadline): each
+    #: request :class:`~repro.reliability.retry.RetryingClient` completes
+    #: gets a :class:`~repro.reliability.budget.DeadlineBudget` of this
+    #: size.
     default_timeout_s: float | None = None
 
     def __post_init__(self) -> None:

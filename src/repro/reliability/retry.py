@@ -12,9 +12,10 @@ and re-issues failed requests under a
 * an optional ``validate`` hook inspects each completion and raises
   :class:`~repro.errors.MalformedCompletionError` to trigger a resample
   (the study wiring validates that completions parse as yes/no);
-* a per-request **deadline** (``request.timeout_s`` or the policy's
-  ``default_timeout_s``) is enforced cooperatively: it is checked before
-  every attempt and before every backoff sleep, and expiry raises
+* a per-request **deadline** (the policy's ``default_timeout_s``) is a
+  :class:`~repro.reliability.budget.DeadlineBudget` enforced
+  cooperatively: it is checked before every attempt and before every
+  backoff sleep, and expiry raises
   :class:`~repro.errors.DeadlineExceededError`.  Cooperative means an
   in-flight attempt is never interrupted — with synchronous clients
   that is the only race-free option — so a deadline bounds *queueing and
@@ -35,6 +36,7 @@ from ..errors import DeadlineExceededError, LLMError, RetryExhaustedError
 from ..llm.client import LLMClient, LLMRequest, LLMResponse
 from ..obs.trace import span
 from . import counters
+from .budget import DeadlineBudget
 from .clock import Clock, SystemClock
 from .policy import RetryPolicy
 
@@ -99,16 +101,14 @@ class RetryingClient(LLMClient):
         it is terminal.
         """
         policy = self.policy
-        timeout = request.timeout_s
-        if timeout is None:
-            timeout = policy.default_timeout_s
-        deadline = None if timeout is None else self.clock.monotonic() + timeout
+        timeout = policy.default_timeout_s
+        budget = None if timeout is None else DeadlineBudget(timeout, self.clock)
         last_error: LLMError | None = None
 
         with span("llm.request", model=self.model_name) as request_span:
             for attempt in range(1, policy.max_attempts + 1):
                 request_span.set(attempts=attempt)
-                if deadline is not None and self.clock.monotonic() >= deadline:
+                if budget is not None and budget.expired:
                     raise DeadlineExceededError(
                         f"deadline of {timeout}s expired before attempt {attempt}"
                     ) from last_error
@@ -126,10 +126,7 @@ class RetryingClient(LLMClient):
                     if attempt == policy.max_attempts:
                         break
                     delay = policy.delay_for_error(error, attempt, key=request.prompt)
-                    if (
-                        deadline is not None
-                        and self.clock.monotonic() + delay >= deadline
-                    ):
+                    if budget is not None and not budget.fits(delay):
                         raise DeadlineExceededError(
                             f"deadline of {timeout}s cannot fit a {delay:.3f}s "
                             f"backoff after attempt {attempt}"

@@ -95,8 +95,8 @@ class RoutedBackend:
 
     Non-final rungs need a ``(low, high)`` confidence band and a matcher
     exposing ``match_scores``; the final rung is the authority and only
-    needs ``predict``.  ``price_per_1k_tokens`` is the backend's input
-    price in dollars (0 for locally-hosted matchers), the unit
+    its ``predict`` is called.  ``price_per_1k_tokens`` is the backend's
+    input price in dollars (0 for locally-hosted matchers), the unit
     :mod:`repro.llm.pricing` publishes.  ``breaker`` (optional) is the
     rung's :class:`~repro.reliability.breaker.CircuitBreaker`: the
     router consults it before escalating *to* this rung and feeds it
@@ -133,6 +133,17 @@ class RoutedBackend:
         """Dollar cost of sending ``tokens`` input tokens to this backend."""
         return tokens / 1000.0 * self.price_per_1k_tokens
 
+    def pair_cost_usd(self, pair: RecordPair) -> float:
+        """Dollar cost of sending ``pair`` to this backend.
+
+        An unpriced backend costs nothing, so its pairs are never
+        tokenized (:func:`request_tokens` is the router's costliest
+        per-pair step).
+        """
+        if self.price_per_1k_tokens <= 0:
+            return 0.0
+        return self.spend_usd(request_tokens(pair))
+
 
 @dataclass(frozen=True)
 class RouteDecision:
@@ -146,9 +157,6 @@ class RouteDecision:
     escalated: bool
     #: Dollars spent on this request across every rung it touched.
     spend_usd: float
-    #: The deciding rung's confidence score (``None`` when the final
-    #: rung decided via ``predict`` without exposing a score).
-    score: float | None = None
     #: Whether a budget stopped an escalation the bands asked for.
     budget_limited: bool = False
     #: Whether an open circuit breaker stopped an escalation (decided
@@ -254,7 +262,9 @@ class MatchRouter:
     """Dispatch requests across a ladder of confidence-banded backends.
 
     ``backends`` is ordered cheapest-first; every rung except the last
-    must be banded (it needs a way to say "I am not sure").  Budgets are
+    must be banded (it needs a way to say "I am not sure").  A one-rung
+    ladder is the plain single-matcher path: every pair is decided by
+    its ``predict``.  Budgets are
     both optional: ``per_request_budget_usd`` caps one request's total
     spend, ``ledger`` caps the rolling spend across requests.  The entry
     rung always runs (a router must answer something); budgets gate
@@ -276,8 +286,8 @@ class MatchRouter:
         order); ``clock`` defaults to the ledger's clock so the two
         never disagree about window time.
         """
-        if len(backends) < 2:
-            raise ConfigurationError("a router needs at least two backends")
+        if not backends:
+            raise ConfigurationError("a router needs at least one backend")
         names = [b.name for b in backends]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"backend names must be unique, got {names}")
@@ -405,7 +415,6 @@ class MatchRouter:
             backend=backend_name,
             escalated=escalated,
             spend_usd=spend,
-            score=score,
             **flags,
         )
 
@@ -422,7 +431,7 @@ class MatchRouter:
         # entry charge would otherwise leave the ledger short of the
         # spend that happened anyway.
         entry = self.backends[0]
-        entry_costs = [entry.spend_usd(request_tokens(p)) for p in pairs]
+        entry_costs = [entry.pair_cost_usd(p) for p in pairs]
         if self.ledger is not None and entry.price_per_1k_tokens > 0:
             for cost in entry_costs:
                 self.ledger.charge(cost)
@@ -440,11 +449,6 @@ class MatchRouter:
                 # Final rung: the authority decides everything left.
                 try:
                     labels = self._invoke(backend, "predict", batch)
-                    scores = None
-                    if hasattr(backend.matcher, "match_scores"):
-                        scores = backend.matcher.match_scores(
-                            batch, self.serialization_seed
-                        )
                 except ReproError:
                     if tier == 0:
                         raise
@@ -465,7 +469,6 @@ class MatchRouter:
                         backend=backend.name,
                         escalated=tier > 0,
                         spend_usd=spent[pos],
-                        score=float(scores[pos]) if scores is not None else None,
                     )
                 active = []
                 break
@@ -497,13 +500,13 @@ class MatchRouter:
                 if score >= backend.high:
                     decisions[i] = RouteDecision(
                         label=1, backend=backend.name, escalated=tier > 0,
-                        spend_usd=spent[pos], score=score,
+                        spend_usd=spent[pos],
                     )
                     continue
                 if score <= backend.low:
                     decisions[i] = RouteDecision(
                         label=0, backend=backend.name, escalated=tier > 0,
-                        spend_usd=spent[pos], score=score,
+                        spend_usd=spent[pos],
                     )
                     continue
                 # Escalation admission, cheapest refusal first: a spent
@@ -519,7 +522,7 @@ class MatchRouter:
                         here, spent[pos], breaker_open=True
                     )
                     continue
-                cost = next_backend.spend_usd(request_tokens(pairs[i]))
+                cost = next_backend.pair_cost_usd(pairs[i])
                 if self._charge(cost, spent[pos]):
                     carry[i] = here
                     still_active.append(i)

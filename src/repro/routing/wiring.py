@@ -131,8 +131,8 @@ def routed_service(
 ):
     """A routed :class:`~repro.serving.service.MatchService` from an artifact.
 
-    Loads the matcher artifact under ``artifact_directory`` (it serves
-    the unrouted paths: candidate lookups and as the stats roster), arms
+    Loads the matcher artifact under ``artifact_directory`` (it names
+    the service on ``/healthz``; every request is scored by ``router``), arms
     a :class:`~repro.routing.drift.DriftMonitor` from the routing
     profile embedded in the manifest — services from profile-less
     artifacts simply run without drift monitoring — and composes the

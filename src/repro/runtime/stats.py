@@ -18,6 +18,8 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
+from ..reliability import counters as reliability_counters
+
 __all__ = ["RuntimeStats"]
 
 
@@ -37,29 +39,14 @@ class RuntimeStats:
             "saved_prompt_tokens": 0,
             "saved_dollars": 0.0,
         }
+        #: The process-wide reliability table's keys (the only list of
+        #: them) plus the grid's own cell retry/failure counts; every
+        #: value starts as an int but ``retry_sleep_seconds``.
         self.reliability_counters: dict[str, float] = {
-            "attempts": 0,
-            "request_retries": 0,
-            "retry_sleep_seconds": 0.0,
-            "faults_injected": 0,
-            "transient_faults": 0,
-            "rate_limit_faults": 0,
-            "latency_spikes": 0,
-            "malformed_completions": 0,
-            "breaker_opens": 0,
-            "breaker_closes": 0,
-            "breaker_probes": 0,
-            "breaker_rejections": 0,
-            "breaker_failures": 0,
-            "breaker_slow_calls": 0,
-            "hedges_launched": 0,
-            "hedge_wins": 0,
-            "hedge_waste": 0,
-            "routing_backend_errors": 0,
-            "hedge_swallowed_errors": 0,
-            "serving_unexpected_errors": 0,
-            "cell_retries": 0,
-            "cell_failures": 0,
+            key: 0.0 if key == "retry_sleep_seconds" else 0
+            for key in (
+                *reliability_counters.COUNTER_KEYS, "cell_retries", "cell_failures"
+            )
         }
         #: Structured :class:`repro.runtime.grid.CellFailure` records
         #: (as dicts) from every phase, in submission order.

@@ -9,8 +9,8 @@ Three endpoints, all JSON:
     predicted label/matches plus the request latency, and the routing
     provenance fields (``backend``, ``escalated``, ``spend_usd``, and
     the degradation flags ``budget_limited`` / ``breaker_open`` /
-    ``backend_failed`` / ``deadline_limited`` — ``null``/zero/false on
-    an unrouted service).
+    ``backend_failed`` / ``deadline_limited``).  A service built
+    without a router names its matcher as ``backend``.
 ``GET /healthz``
     Liveness and saturation: 200 with ``status: ok`` normally, **503**
     with a ``Retry-After`` hint whenever the status is not ``ok`` — a
@@ -19,18 +19,17 @@ Three endpoints, all JSON:
 ``GET /metrics``
     The :class:`~repro.serving.service.ServingStats` block merged with
     the scheduler counters (explicit zeros when no batch has flushed)
-    and — on a routed service — a ``routing`` block with the router
-    counters and drift scores (``null`` otherwise; the key is always
-    present).  JSON by default; ``GET /metrics?format=prometheus`` — or
+    and a ``routing`` block with the router counters and drift scores
+    (``drift`` is ``null`` without a monitor).  JSON by default; ``GET /metrics?format=prometheus`` — or
     an ``Accept`` header mentioning ``text/plain`` — returns the same
     snapshot in the Prometheus text exposition format instead, rendered
     through :class:`~repro.obs.registry.MetricsRegistry`.
 ``GET /router``
-    The adaptive-routing state of a routed service: the backend ladder
-    with per-rung decision counts and confidence bands, budgets and the
-    rolling spend ledger, the drift monitor's windows/events, and the
-    shadow evaluator's agreement gate (see ``docs/ROUTING.md``).  **404**
-    on a service constructed without a router.
+    The routing state: the backend ladder (one rung on a service built
+    without a router) with per-rung decision counts and confidence
+    bands, budgets and the rolling spend ledger, the drift monitor's
+    windows/events, and the shadow evaluator's agreement gate (see
+    ``docs/ROUTING.md``).
 
 Error mapping is structural, never a hang: malformed requests are 400,
 an oversized body (:class:`~repro.errors.PayloadTooLargeError`) is 413,
@@ -153,10 +152,7 @@ def _make_handler(service: MatchService) -> type[BaseHTTPRequestHandler]:
                 else:
                     self._send_json(200, service.metrics())
             elif path == "/router":
-                try:
-                    self._send_json(200, service.router_state())
-                except ServingError as error:
-                    self._send_error_json(404, error)
+                self._send_json(200, service.router_state())
             else:
                 self._send_json(404, {"error": "NotFound", "detail": self.path})
 

@@ -29,13 +29,12 @@ an entry whose budget expired while it queued is failed with a
 ``scheduler.queue``-staged :class:`~repro.errors.DeadlineExceededError`
 *before* the batch runs (processing it would waste a batch slot on an
 answer nobody is waiting for), and the batch's tightest remaining
-budget is forwarded to ``process_batch`` when its signature accepts a
-``budget`` keyword.
+budget is passed to ``process_batch`` as its second argument (``None``
+when no entry carries one).
 """
 
 from __future__ import annotations
 
-import inspect
 import threading
 from collections import deque
 from collections.abc import Callable, Sequence
@@ -111,15 +110,18 @@ class PendingResult:
 class MicroBatcher:
     """Coalesce concurrent requests into bounded batches for one processor.
 
-    ``process_batch`` receives a list of queued items (FIFO order, or a
-    similar-length window when ``length_key`` is set) and must return one
-    result per item, in order; any exception it raises is delivered to
-    every request in that batch.
+    ``process_batch(items, budget)`` receives a list of queued items
+    (FIFO order, or a similar-length window when ``length_key`` is set)
+    and the batch's tightest deadline budget (or ``None``), and must
+    return one result per item, in order; any exception it raises is
+    delivered to every request in that batch.
     """
 
     def __init__(
         self,
-        process_batch: Callable[[list[Any]], Sequence[Any]],
+        process_batch: Callable[
+            [list[Any], DeadlineBudget | None], Sequence[Any]
+        ],
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
         max_queue: int = 256,
@@ -163,13 +165,6 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._thread: threading.Thread | None = None
         self._stopped = False
-        try:
-            params = inspect.signature(process_batch).parameters
-            self._budget_aware = "budget" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-            )
-        except (TypeError, ValueError):  # builtins without signatures
-            self._budget_aware = False
         self._counters: dict[str, float] = {
             "submitted": 0,
             "shed": 0,
@@ -334,8 +329,7 @@ class MicroBatcher:
 
         Entries whose deadline budget expired while queued are failed
         first (stage ``scheduler.queue``); the surviving entries run as
-        one batch, with the tightest remaining budget forwarded to a
-        budget-aware ``process_batch``.
+        one batch, with the tightest remaining budget passed along.
         """
         live: list[tuple[Any, PendingResult, DeadlineBudget | None]] = []
         for item, pending, budget in batch:
@@ -362,10 +356,7 @@ class MicroBatcher:
         self._counters["occupancy_sum"] += len(live)
         with span("scheduler.flush", occupancy=len(live)) as flush_span:
             try:
-                if self._budget_aware and batch_budget is not None:
-                    results = self.process_batch(items, budget=batch_budget)
-                else:
-                    results = self.process_batch(items)
+                results = self.process_batch(items, batch_budget)
                 if len(results) != len(items):
                     raise ServingError(
                         f"process_batch returned {len(results)} results "

@@ -6,17 +6,18 @@ A request travels::
     match_pair / lookup
         -> CandidateIndex.query          (lookup only: candidate generation)
         -> MicroBatcher.submit           (admission control, coalescing)
-        -> Matcher.predict               (one batched model call)
+        -> MatchRouter.route             (one batched model call per rung)
         -> MatchResponse                 (label + latency back to the caller)
 
 Reliability reuses the study's machinery: a
 :class:`~repro.reliability.policy.RetryPolicy` re-runs a failed batch
 when its error is retryable (same classification as offline,
 :func:`repro.reliability.policy.is_retryable`, same deterministic seeded
-backoff), per-request deadlines bound the caller's wait, and overload
-sheds with a structured :class:`~repro.errors.OverloadedError` instead
-of hanging.  Every outcome is counted in :class:`ServingStats`, the
-block ``GET /metrics`` dumps.
+backoff), a per-request :class:`~repro.reliability.budget.DeadlineBudget`
+bounds the caller's wait, and overload sheds with a structured
+:class:`~repro.errors.OverloadedError` instead of hanging.  Every
+outcome is counted in :class:`ServingStats`, the block ``GET /metrics``
+dumps.
 
 Determinism: a service that was never :meth:`start`-ed dispatches
 *inline* — submissions are processed in deterministic FIFO batches when
@@ -24,17 +25,17 @@ the caller blocks — so the same request trace over the same matcher
 (fault-injected or not) yields identical responses and identical
 counters, which the serving determinism tests pin.
 
-Routing: constructed with ``router=`` (a
-:class:`~repro.routing.policy.MatchRouter`), the service dispatches each
-batch through the router's confidence-banded backend ladder instead of
-one fixed matcher; responses then carry routing provenance (``backend``,
-``escalated``, ``spend_usd``), an attached
+Routing: every batch is dispatched through a
+:class:`~repro.routing.policy.MatchRouter` — the confidence-banded
+backend ladder passed as ``router=``, or else a one-rung ladder around
+the service's matcher.  Responses carry routing provenance
+(``backend``, ``escalated``, ``spend_usd``), an attached
 :class:`~repro.routing.drift.DriftMonitor` folds every decided pair into
 its drift windows, and an attached
 :class:`~repro.routing.shadow.ShadowEvaluator` shadow-scores the
 deterministic sample — all on the dispatcher side of the queue, off the
-caller's critical path.  ``GET /metrics`` gains a ``routing`` block and
-``GET /router`` exposes the full router/drift/shadow state (see
+caller's critical path.  ``GET /metrics`` carries a ``routing`` block
+and ``GET /router`` exposes the full router/drift/shadow state (see
 ``docs/ROUTING.md``).
 """
 
@@ -56,8 +57,8 @@ from ..reliability import counters as reliability_counters
 from ..reliability.breaker import STATE_OPEN
 from ..reliability.budget import DeadlineBudget
 from ..reliability.clock import Clock, SystemClock
-from ..reliability.hedge import HedgedCall
 from ..reliability.policy import RetryPolicy
+from ..routing.policy import MatchRouter, RoutedBackend
 from .index import Candidate, CandidateIndex
 from .scheduler import MicroBatcher
 
@@ -85,16 +86,16 @@ class MatchResponse:
     label: int
     #: Admission-to-completion latency in seconds.
     latency_s: float
-    #: Routing provenance: which backend answered (``None`` on the
-    #: single-matcher path).
+    #: Routing provenance: which backend answered (the matcher's
+    #: ``name`` on a service built without a router).
     backend: str | None = None
     #: Whether the request escalated past the router's first rung.
     escalated: bool = False
     #: Token-dollars this request spent across the rungs it touched.
     spend_usd: float = 0.0
-    #: Degradation provenance (routed path): whether a spend budget, an
-    #: open circuit breaker, a failed backend, or an expired deadline
-    #: budget stopped an escalation the confidence bands asked for.
+    #: Degradation provenance: whether a spend budget, an open circuit
+    #: breaker, a failed backend, or an expired deadline budget stopped
+    #: an escalation the confidence bands asked for.
     budget_limited: bool = False
     breaker_open: bool = False
     backend_failed: bool = False
@@ -148,9 +149,8 @@ class ServingStats:
             "errors": 0,
             "abandoned": 0,
             "batch_retries": 0,
-            # Routing totals — explicit zeros on unrouted services, so
-            # the /metrics schema never depends on how the service was
-            # constructed.
+            # Routing totals: every scored pair is routed, through a
+            # one-rung ladder when the service was built without one.
             "routed": 0,
             "escalated": 0,
             "budget_limited": 0,
@@ -246,12 +246,12 @@ class ServingStats:
 
 
 class MatchService:
-    """An online entity-matching service over one fitted matcher.
+    """An online entity-matching service over one routing ladder.
 
     ``index`` (optional) enables :meth:`lookup` — probe-record requests
     that retrieve candidates before matching.  Batching, admission
-    control, retries and deadlines are configured here and applied to
-    every request path.
+    control, retries and deadline budgets are configured here and
+    applied to every request path.
     """
 
     def __init__(
@@ -263,57 +263,54 @@ class MatchService:
         max_queue: int = 256,
         retry_policy: RetryPolicy | None = None,
         serialization_seed: int | None = None,
-        default_timeout_s: float | None = None,
         clock: Clock | None = None,
         bucket_by_length: bool | None = None,
-        router=None,
+        router: MatchRouter | None = None,
         drift_monitor=None,
         shadow=None,
-        hedge: HedgedCall | None = None,
         default_budget_s: float | None = None,
     ) -> None:
         """Compose the serving stack around ``matcher``.
 
         ``retry_policy`` re-runs a batch whose failure is retryable under
-        the study's error classification; ``default_timeout_s`` bounds
-        every caller's wait unless a request overrides it;
-        ``serialization_seed`` fixes the column order shown to the
-        matcher (``None`` = canonical order) so responses are a pure
-        function of the request trace.  ``bucket_by_length`` (default:
-        the active :class:`repro.config.InferenceConfig`) makes the
-        scheduler form batches of similar-token-length pairs instead of
-        strict FIFO slices; per-pair responses are unchanged, only
-        co-batching (and thus padding waste) differs.
+        the study's error classification; ``serialization_seed`` fixes
+        the column order shown to the matcher (``None`` = canonical
+        order) so responses are a pure function of the request trace.
+        ``bucket_by_length`` (default: the active
+        :class:`repro.config.InferenceConfig`) makes the scheduler form
+        batches of similar-token-length pairs instead of strict FIFO
+        slices; per-pair responses are unchanged, only co-batching (and
+        thus padding waste) differs.
 
-        ``router`` (a :class:`~repro.routing.policy.MatchRouter`)
-        replaces ``matcher`` on the scoring path: batches route through
-        the backend ladder and responses carry routing provenance.
-        ``matcher`` then only names the service (health checks) and
-        serves as the index-lookup confirmer's identity; pass the
-        router's final backend for an accurate display.  ``drift_monitor``
-        and ``shadow`` (see :mod:`repro.routing`) are fed every decided
-        batch on the dispatcher side of the queue.
+        ``router`` (a :class:`~repro.routing.policy.MatchRouter`) is the
+        scoring path: batches route through its backend ladder and
+        responses carry routing provenance.  Without one, the service
+        routes through a one-rung ladder named ``matcher.name``; with
+        one, ``matcher`` only names the service (health checks) — pass
+        the router's final backend for an accurate display.
+        ``drift_monitor`` and ``shadow`` (see :mod:`repro.routing`) are
+        fed every decided batch on the dispatcher side of the queue.
 
-        ``hedge`` (a :class:`~repro.reliability.hedge.HedgedCall`) races
-        a duplicate model call against stragglers on the *single-matcher*
-        path only: ``predict`` is idempotent, while routed batches charge
-        a :class:`~repro.routing.policy.SpendLedger` and must not run
-        twice (see ``docs/FAILURE_SEMANTICS.md`` §9).  ``default_budget_s``
-        gives every request a deadline budget unless its call overrides
-        one; the budget is threaded through queueing, retries and router
-        hops so each stage sees only the time that is actually left.
+        ``default_budget_s`` gives every request a deadline budget
+        unless its call overrides one; the budget is the only time
+        limit, threaded through queueing, retries, router hops and the
+        caller's wait so each stage sees only the time that is left.
         """
         self.matcher = matcher
         self.index = index
         self.retry_policy = retry_policy
-        self.router = router
         self.drift_monitor = drift_monitor
         self.shadow = shadow
-        self.hedge = hedge
         self.default_budget_s = default_budget_s
         self.serialization_seed = serialization_seed
-        self.default_timeout_s = default_timeout_s
         self.clock = clock or SystemClock()
+        if router is None:
+            router = MatchRouter(
+                [RoutedBackend(name=matcher.name, matcher=matcher)],
+                serialization_seed=serialization_seed,
+                clock=self.clock,
+            )
+        self.router = router
         self.stats = ServingStats()
         if bucket_by_length is None:
             bucket_by_length = get_inference_config().bucketing
@@ -354,45 +351,23 @@ class MatchService:
 
     # -- the batched model call ---------------------------------------------
 
-    def _predict_once(self, pairs: list[RecordPair]) -> list:
-        """One (possibly hedged) matcher call on the single-matcher path.
-
-        ``predict`` is idempotent — running the duplicate attempt has no
-        side effect beyond the wasted work — which is what makes hedging
-        safe here and *only* here.
-        """
-        if self.hedge is not None:
-            labels = self.hedge.call(
-                lambda _attempt, _cancel: self.matcher.predict(
-                    pairs, self.serialization_seed
-                )
-            )
-        else:
-            labels = self.matcher.predict(pairs, self.serialization_seed)
-        return [int(label) for label in labels]
-
     def _process_batch(
-        self, pairs: list[RecordPair], budget: DeadlineBudget | None = None
+        self, pairs: list[RecordPair], budget: DeadlineBudget | None
     ) -> list:
-        """Score one coalesced batch, retrying retryable failures.
+        """Route one coalesced batch, retrying retryable failures.
 
-        Returns plain ``int`` labels on the single-matcher path, or
-        :class:`~repro.routing.policy.RouteDecision` objects when a
-        router is attached (``_await`` unpacks either shape).  ``budget``
-        is the batch's tightest remaining deadline budget: a retry whose
-        backoff would outlive it fails immediately with a
-        ``serving.retry_backoff``-staged deadline error instead of
-        sleeping into a wait nobody can win.
+        Returns one :class:`~repro.routing.policy.RouteDecision` per
+        pair.  ``budget`` is the batch's tightest remaining deadline
+        budget: a retry whose backoff does not fit it
+        (:meth:`~repro.reliability.budget.DeadlineBudget.fits`) fails
+        immediately with a ``serving.retry_backoff``-staged deadline
+        error instead of sleeping into a wait nobody can win.
         """
         policy = self.retry_policy
         attempt = 1
         while True:
             try:
-                if self.router is not None:
-                    return self._route_batch(pairs, budget)
-                labels = self._predict_once(pairs)
-                self.stats.bump("pairs_scored", len(pairs))
-                return labels
+                return self._route_batch(pairs, budget)
             except Exception as error:
                 if (
                     policy is None
@@ -403,7 +378,7 @@ class MatchService:
                 delay = policy.delay_for_error(
                     error, attempt, key=f"serving/{pairs[0].pair_id}"
                 )
-                if budget is not None and budget.remaining() < delay:
+                if budget is not None and not budget.fits(delay):
                     raise DeadlineExceededError(
                         f"retry backoff ({delay:.3f}s) would outlive the "
                         f"deadline budget ({budget.remaining():.3f}s left)",
@@ -415,7 +390,7 @@ class MatchService:
                 attempt += 1
 
     def _route_batch(
-        self, pairs: list[RecordPair], budget: DeadlineBudget | None = None
+        self, pairs: list[RecordPair], budget: DeadlineBudget | None
     ) -> list:
         """Route one batch and feed the drift monitor + shadow evaluator.
 
@@ -479,24 +454,16 @@ class MatchService:
             self._batcher.drain()
         return pending
 
-    def _await(
-        self,
-        pending,
-        timeout_s: float | None,
-        budget: DeadlineBudget | None = None,
-    ) -> MatchResponse:
-        """Wait for one outcome, folding it into the stats.
+    def _await(self, pending, budget: DeadlineBudget | None) -> MatchResponse:
+        """Wait for one ``RouteDecision``, folding it into the stats.
 
-        The outcome is an ``int`` label (single-matcher path) or a
-        ``RouteDecision`` carrying provenance (routed path).  A deadline
-        budget caps the wait at its remaining time, so the caller never
-        blocks past the budget it granted the whole request.
+        A deadline budget caps the wait at its remaining time, so the
+        caller never blocks past the budget it granted the whole request.
         """
-        timeout = timeout_s if timeout_s is not None else self.default_timeout_s
-        if budget is not None:
-            timeout = budget.stage_timeout(cap=timeout)
         try:
-            outcome = pending.result(timeout)
+            outcome = pending.result(
+                None if budget is None else budget.remaining()
+            )
         except DeadlineExceededError:
             self.stats.bump("timeouts")
             raise
@@ -515,26 +482,18 @@ class MatchService:
             raise
         latency = pending.latency_s or 0.0
         self.stats.record_latency(latency)
-        if isinstance(outcome, int):
-            label, backend, escalated, spend = outcome, None, False, 0.0
-            degraded = {}
-        else:
-            label = outcome.label
-            backend = outcome.backend
-            escalated = outcome.escalated
-            spend = outcome.spend_usd
-            degraded = {
-                "budget_limited": outcome.budget_limited,
-                "breaker_open": outcome.breaker_open,
-                "backend_failed": outcome.backend_failed,
-                "deadline_limited": outcome.deadline_limited,
-            }
-        if label == 1:
+        if outcome.label == 1:
             self.stats.bump("matches")
         return MatchResponse(
-            label=label, latency_s=latency,
-            backend=backend, escalated=escalated, spend_usd=spend,
-            **degraded,
+            label=outcome.label,
+            latency_s=latency,
+            backend=outcome.backend,
+            escalated=outcome.escalated,
+            spend_usd=outcome.spend_usd,
+            budget_limited=outcome.budget_limited,
+            breaker_open=outcome.breaker_open,
+            backend_failed=outcome.backend_failed,
+            deadline_limited=outcome.deadline_limited,
         )
 
     @staticmethod
@@ -573,7 +532,6 @@ class MatchService:
         self,
         left: Sequence[str] | Record,
         right: Sequence[str] | Record,
-        timeout_s: float | None = None,
         budget_s: float | None = None,
     ) -> MatchResponse:
         """Match one record pair (coalesced with concurrent requests).
@@ -585,14 +543,13 @@ class MatchService:
         with span("serving.match", pairs=1) as match_span:
             budget = self._request_budget(budget_s)
             pending = self._submit_pairs([self.make_pair(left, right)], budget)
-            response = self._await(pending[0], timeout_s, budget)
+            response = self._await(pending[0], budget)
             match_span.set(matched=response.matched)
             return response
 
     def match_pairs(
         self,
         pairs: Sequence[RecordPair],
-        timeout_s: float | None = None,
         budget_s: float | None = None,
     ) -> list[MatchResponse]:
         """Match many pairs; each is an independently batched request.
@@ -607,7 +564,7 @@ class MatchService:
             responses: list[MatchResponse] = []
             try:
                 for p in pending:
-                    responses.append(self._await(p, timeout_s, budget))
+                    responses.append(self._await(p, budget))
             except BaseException:
                 # The failing request was just counted (timeout/error by
                 # _await); everything admitted after it is never awaited
@@ -624,13 +581,15 @@ class MatchService:
         self,
         probe: Sequence[str] | Record,
         top_k: int = 10,
-        timeout_s: float | None = None,
+        budget_s: float | None = None,
     ) -> list[LookupMatch]:
         """Find corpus records matching a probe: block, then batch-match.
 
         Queries the candidate index for the probe's ``top_k`` candidates
         and returns the subset the matcher confirms, best-blocking-first.
-        Requires the service to be constructed with an index.
+        ``budget_s`` is the candidates' shared deadline budget, as in
+        :meth:`match_pairs`.  Requires the service to be constructed
+        with an index.
         """
         if self.index is None:
             raise ServingError("lookup needs a CandidateIndex (none configured)")
@@ -644,7 +603,7 @@ class MatchService:
             if not candidates:
                 return []
             pairs = [self.make_pair(probe_record, c.record) for c in candidates]
-            responses = self.match_pairs(pairs, timeout_s=timeout_s)
+            responses = self.match_pairs(pairs, budget_s=budget_s)
             matches = [
                 LookupMatch(record=c.record, shared_tokens=c.shared_tokens)
                 for c, response in zip(candidates, responses)
@@ -666,11 +625,11 @@ class MatchService:
         """
         saturated = self._batcher.saturated
         dispatcher_dead = self._started and not self._batcher.dispatcher_alive
-        open_breakers: list[str] = []
-        if self.router is not None:
-            for backend in self.router.backends:
-                if backend.breaker is not None and backend.breaker.state == STATE_OPEN:
-                    open_breakers.append(backend.name)
+        open_breakers = [
+            backend.name
+            for backend in self.router.backends
+            if backend.breaker is not None and backend.breaker.state == STATE_OPEN
+        ]
         causes: list[str] = []
         if dispatcher_dead:
             causes.append("dispatcher_dead")
@@ -700,32 +659,25 @@ class MatchService:
     def metrics(self) -> dict:
         """The full stats block for the ``/metrics`` endpoint.
 
-        Always carries a ``routing`` key: ``None`` on an unrouted
-        service (stable schema, same convention as the scheduler
-        block), else the router counters plus the drift monitor's
-        current scores/events.
+        The ``routing`` block carries the router counters plus the drift
+        monitor's current scores/events (``None`` without a monitor).
         """
         block = self.stats.as_dict(scheduler=self._batcher.counters())
-        if self.router is None:
-            block["routing"] = None
-        else:
-            block["routing"] = {
-                "counters": self.router.state()["counters"],
-                "drift": (
-                    self.drift_monitor.as_dict()
-                    if self.drift_monitor is not None
-                    else None
-                ),
-            }
-        breakers = {}
-        if self.router is not None:
-            for backend in self.router.backends:
-                if backend.breaker is not None:
-                    breakers[backend.name] = backend.breaker.as_dict()
+        block["routing"] = {
+            "counters": self.router.state()["counters"],
+            "drift": (
+                self.drift_monitor.as_dict()
+                if self.drift_monitor is not None
+                else None
+            ),
+        }
         snapshot = reliability_counters.snapshot()
         block["resilience"] = {
-            "breakers": breakers,
-            "hedge": self.hedge.as_dict() if self.hedge is not None else None,
+            "breakers": {
+                backend.name: backend.breaker.as_dict()
+                for backend in self.router.backends
+                if backend.breaker is not None
+            },
             # Errors a degradation path deliberately swallowed (process-
             # wide totals): a rising number here is how a masked bug
             # announces itself without a debugger attached.
@@ -737,14 +689,7 @@ class MatchService:
         return block
 
     def router_state(self) -> dict:
-        """The ``GET /router`` block: ladder, budgets, drift, shadow.
-
-        Raises :class:`~repro.errors.ServingError` when the service was
-        constructed without a router (the HTTP front-end maps that to a
-        404 — the endpoint does not exist on an unrouted service).
-        """
-        if self.router is None:
-            raise ServingError("this service has no router configured")
+        """The ``GET /router`` block: ladder, budgets, drift, shadow."""
         return {
             "router": self.router.state(),
             "drift": (
@@ -771,41 +716,34 @@ class MatchService:
             "serving_dispatcher_alive",
             1.0 if self._batcher.dispatcher_alive else 0.0,
         )
-        if self.hedge is not None:
-            hedge = self.hedge.as_dict()["counters"]
-            registry.counter("hedge_calls_total", hedge["calls"])
-            registry.counter("hedge_launched_total", hedge["hedges_launched"])
-            registry.counter("hedge_wins_total", hedge["hedge_wins"])
-            registry.counter("hedge_waste_total", hedge["hedge_waste"])
         swallowed = reliability_counters.snapshot()
         for key in reliability_counters.SWALLOWED_ERROR_KEYS:
             registry.counter(f"reliability_{key}_total", swallowed[key])
-        if self.router is not None:
-            for backend in self.router.backends:
-                if backend.breaker is not None:
-                    registry.gauge(
-                        "breaker_state",
-                        backend.breaker.state_gauge(),
-                        backend=backend.name,
-                    )
-                    registry.counter(
-                        "breaker_opens_total",
-                        backend.breaker.counters["opens"],
-                        backend=backend.name,
-                    )
-            for key, value in self.router.state()["counters"].items():
-                registry.counter(f"router_{key}_total", value)
-            if self.drift_monitor is not None:
-                drift = self.drift_monitor.as_dict()
-                registry.counter("drift_windows_total", drift["windows_completed"])
-                registry.counter("drift_events_total", drift["events"])
-                if drift["last_scores"] is not None:
-                    registry.gauge(
-                        "drift_domain_overlap",
-                        drift["last_scores"]["domain_overlap"],
-                    )
-                    registry.gauge(
-                        "drift_positive_skew",
-                        drift["last_scores"]["positive_skew"],
-                    )
+        for backend in self.router.backends:
+            if backend.breaker is not None:
+                registry.gauge(
+                    "breaker_state",
+                    backend.breaker.state_gauge(),
+                    backend=backend.name,
+                )
+                registry.counter(
+                    "breaker_opens_total",
+                    backend.breaker.counters["opens"],
+                    backend=backend.name,
+                )
+        for key, value in self.router.state()["counters"].items():
+            registry.counter(f"router_{key}_total", value)
+        if self.drift_monitor is not None:
+            drift = self.drift_monitor.as_dict()
+            registry.counter("drift_windows_total", drift["windows_completed"])
+            registry.counter("drift_events_total", drift["events"])
+            if drift["last_scores"] is not None:
+                registry.gauge(
+                    "drift_domain_overlap",
+                    drift["last_scores"]["domain_overlap"],
+                )
+                registry.gauge(
+                    "drift_positive_skew",
+                    drift["last_scores"]["positive_skew"],
+                )
         return registry.render_prometheus()

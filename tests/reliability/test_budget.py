@@ -30,12 +30,14 @@ class TestAccounting:
         assert budget.remaining() == 0.0
         assert budget.expired
 
-    def test_backdated_start_counts_queue_time(self):
-        clock = FakeClock(start=100.0)
-        clock.advance(3.0)
-        budget = DeadlineBudget(10.0, clock=clock, started_at=100.0)
-        assert budget.elapsed() == 3.0
-        assert budget.remaining() == 7.0
+    def test_a_wait_fits_only_if_it_ends_before_the_budget(self):
+        clock = FakeClock()
+        budget = DeadlineBudget(2.0, clock=clock)
+        assert budget.fits(1.5)
+        assert not budget.fits(2.0)  # the equality edge does not fit
+        clock.advance(2.0)
+        assert not budget.fits(0.0)
+        assert budget.expired
 
 
 class TestCheck:
@@ -52,38 +54,3 @@ class TestCheck:
         assert excinfo.value.stage == "scheduler.queue"
         assert "scheduler.queue" in str(excinfo.value)
 
-
-class TestStageTimeout:
-    def test_uncapped_is_the_remaining_time(self):
-        clock = FakeClock()
-        budget = DeadlineBudget(10.0, clock=clock)
-        clock.advance(3.0)
-        assert budget.stage_timeout() == 7.0
-
-    def test_cap_bounds_the_stage(self):
-        budget = DeadlineBudget(10.0, clock=FakeClock())
-        assert budget.stage_timeout(cap=2.0) == 2.0
-
-    def test_expired_budget_hands_out_zero_not_fresh_time(self):
-        clock = FakeClock()
-        budget = DeadlineBudget(1.0, clock=clock)
-        clock.advance(5.0)
-        assert budget.stage_timeout(cap=30.0) == 0.0
-
-    def test_negative_cap_is_clamped(self):
-        budget = DeadlineBudget(10.0, clock=FakeClock())
-        assert budget.stage_timeout(cap=-1.0) == 0.0
-
-
-class TestIntrospection:
-    def test_as_dict_shape(self):
-        clock = FakeClock()
-        budget = DeadlineBudget(2.0, clock=clock)
-        clock.advance(0.5)
-        state = budget.as_dict()
-        assert state == {
-            "total_s": 2.0,
-            "elapsed_s": 0.5,
-            "remaining_s": 1.5,
-            "expired": False,
-        }

@@ -158,23 +158,39 @@ class TestDeadlines:
                 raise TransientLLMError("timeout-ish")
 
         client = RetryingClient(
-            SlowClient(), RetryPolicy(base_delay_s=0.0, jitter=0.0),
+            SlowClient(),
+            RetryPolicy(base_delay_s=0.0, jitter=0.0, default_timeout_s=1.5),
             clock=clock, count=False,
         )
         with pytest.raises(DeadlineExceededError) as excinfo:
-            client.complete(LLMRequest(prompt=_PROMPT, timeout_s=1.5))
+            client.complete(_request())
         assert isinstance(excinfo.value.__cause__, TransientLLMError)
 
     def test_backoff_that_cannot_fit_fails_early(self):
         clock = FakeClock()
         inner = ScriptedClient([TransientLLMError("a")])
         client = RetryingClient(
-            inner, RetryPolicy(base_delay_s=5.0, jitter=0.0),
+            inner,
+            RetryPolicy(base_delay_s=5.0, jitter=0.0, default_timeout_s=1.0),
             clock=clock, count=False,
         )
         with pytest.raises(DeadlineExceededError):
-            client.complete(LLMRequest(prompt=_PROMPT, timeout_s=1.0))
+            client.complete(_request())
         assert clock.sleeps == []  # never slept into the deadline
+        assert inner.calls == 1
+
+    def test_backoff_ending_exactly_at_the_deadline_does_not_fit(self):
+        """remaining == delay is refused: no time would be left to retry."""
+        clock = FakeClock()
+        inner = ScriptedClient([TransientLLMError("a")])
+        client = RetryingClient(
+            inner,
+            RetryPolicy(base_delay_s=1.0, jitter=0.0, default_timeout_s=1.0),
+            clock=clock, count=False,
+        )
+        with pytest.raises(DeadlineExceededError):
+            client.complete(_request())
+        assert clock.sleeps == []
         assert inner.calls == 1
 
     def test_policy_default_timeout_applies(self):

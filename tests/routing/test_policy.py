@@ -68,9 +68,9 @@ def _two_rungs(low=0.3, high=0.7, price=0.015, **router_kwargs) -> MatchRouter:
 
 
 class TestValidation:
-    def test_needs_two_backends(self):
-        with pytest.raises(ConfigurationError, match="at least two"):
-            MatchRouter([RoutedBackend(name="only", matcher=_ConstantMatcher(1))])
+    def test_needs_at_least_one_backend(self):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            MatchRouter([])
 
     def test_unique_names(self):
         with pytest.raises(ConfigurationError, match="unique"):
@@ -144,6 +144,15 @@ class TestDecisions:
         assert labels.dtype == np.int64
         assert labels.tolist() == [0, 1, 1]
 
+    def test_one_rung_ladder_decides_everything_with_predict(self):
+        only = _ConstantMatcher(1)
+        router = MatchRouter([RoutedBackend(name="only", matcher=only)])
+        decisions = router.route([_scored_pair(s, i) for i, s in enumerate([0.1, 0.9])])
+        assert [(d.label, d.backend, d.escalated, d.spend_usd) for d in decisions] == [
+            (1, "only", False, 0.0), (1, "only", False, 0.0)
+        ]
+        assert only.pairs_seen == 2
+
     def test_request_tokens_positive_and_stable(self):
         pair = _scored_pair(0.5)
         assert request_tokens(pair) > 0
@@ -206,3 +215,65 @@ class TestDeterminism:
             decisions = router.route(pairs)
             runs.append(([tuple(vars(d).items()) for d in decisions], router.state()))
         assert runs[0] == runs[1]
+
+
+class _ScoreSpyMatcher(_ConstantMatcher):
+    """A final-rung matcher that also exposes ``match_scores`` — and counts calls."""
+
+    def __init__(self, label: int) -> None:
+        super().__init__(label)
+        self.score_calls = 0
+
+    def match_scores(self, pairs, serialization_seed=None):
+        self.score_calls += 1
+        return np.full(len(pairs), float(self.label))
+
+
+class TestNoUnreadWork:
+    """The router tokenizes and scores only what a decision reads."""
+
+    @pytest.fixture
+    def token_calls(self, monkeypatch):
+        import repro.routing.policy as policy
+
+        calls = []
+
+        def spy(pair):
+            calls.append(pair.pair_id)
+            return request_tokens(pair)
+
+        monkeypatch.setattr(policy, "request_tokens", spy)
+        return calls
+
+    def test_unpriced_ladder_never_counts_tokens(self, token_calls):
+        router = _two_rungs(price=0.0)
+        decisions = router.route(
+            [_scored_pair(s, i) for i, s in enumerate([0.1, 0.5, 0.6, 0.9])]
+        )
+        assert sum(d.escalated for d in decisions) == 2
+        assert token_calls == []
+
+    def test_priced_final_rung_counts_each_escalated_pair_once(self, token_calls):
+        router = _two_rungs(price=0.015)
+        pairs = [_scored_pair(s, i) for i, s in enumerate([0.1, 0.5, 0.6, 0.9])]
+        decisions = router.route(pairs)
+        escalated = [p.pair_id for p, d in zip(pairs, decisions) if d.escalated]
+        assert escalated == ["p1:0.5", "p2:0.6"]
+        assert token_calls == escalated
+
+    def test_final_rung_match_scores_is_never_called(self):
+        for backends in (
+            lambda final: [RoutedBackend(name="only", matcher=final)],
+            lambda final: [
+                RoutedBackend(
+                    name="cheap", matcher=_FixedScoreMatcher(), low=0.3, high=0.7
+                ),
+                RoutedBackend(name="final", matcher=final),
+            ],
+        ):
+            final = _ScoreSpyMatcher(1)
+            MatchRouter(backends(final)).route(
+                [_scored_pair(s, i) for i, s in enumerate([0.1, 0.5, 0.9])]
+            )
+            assert final.pairs_seen > 0
+            assert final.score_calls == 0

@@ -9,7 +9,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ServingError
+from repro.errors import ConfigurationError
 from repro.llm.client import EchoClient
 from repro.matchers.base import Matcher
 from repro.matchers.matchgpt import MatchGPTMatcher
@@ -101,12 +101,24 @@ class TestRoutedService:
             r.spend_usd == 0.0 for r in responses if not r.escalated
         )
 
-    def test_unrouted_responses_have_null_provenance(self):
+    def test_unrouted_responses_name_the_matcher(self):
         service = MatchService(StringSimMatcher(), clock=FakeClock())
         response = service.match_pair(*TRACE[0])
-        assert response.backend is None
+        assert response.backend == "string_sim"
         assert response.escalated is False
         assert response.spend_usd == 0.0
+
+    def test_unrouted_service_is_a_one_rung_router(self):
+        """A plain service and one given the same ladder explicitly agree."""
+        runs = []
+        for router in (
+            None,
+            MatchRouter([RoutedBackend(name="string_sim", matcher=StringSimMatcher())]),
+        ):
+            service = MatchService(StringSimMatcher(), router=router, clock=FakeClock())
+            responses = [service.match_pair(left, right) for left, right in TRACE]
+            runs.append((responses, service.metrics()))
+        assert runs[0] == runs[1]
 
     def test_metrics_routing_block(self):
         monitor = DriftMonitor(
@@ -129,11 +141,14 @@ class TestRoutedService:
     def test_unrouted_metrics_schema_is_stable(self):
         service = MatchService(StringSimMatcher(), clock=FakeClock())
         metrics = service.metrics()
-        assert metrics["routing"] is None
+        assert metrics["routing"] == {
+            "counters": service.router_state()["router"]["counters"],
+            "drift": None,
+        }
         assert metrics["counters"]["routed"] == 0
         assert metrics["counters"]["escalated"] == 0
-        with pytest.raises(ServingError):
-            service.router_state()
+        backends = service.router_state()["router"]["backends"]
+        assert [(b["name"], b["band"]) for b in backends] == [("string_sim", None)]
 
     def test_router_state_block(self):
         shadow = ShadowEvaluator(StringSimMatcher(), fraction=1.0, min_samples=2)
@@ -181,14 +196,14 @@ class TestHTTPRouterEndpoint:
             status, metrics = _get(server.url, "/metrics")
             assert metrics["routing"]["counters"] == body["router"]["counters"]
 
-    def test_get_router_404_when_unrouted(self):
+    def test_get_router_on_unrouted_service(self):
         service = MatchService(StringSimMatcher(), max_wait_ms=1.0)
         with MatchHTTPServer(service) as server:
             status, body = _get(server.url, "/router")
-            assert status == 404
-            assert body["error"] == "ServingError"
+            assert status == 200
+            assert [b["name"] for b in body["router"]["backends"]] == ["string_sim"]
             status, metrics = _get(server.url, "/metrics")
-            assert metrics["routing"] is None
+            assert metrics["routing"]["counters"] == body["router"]["counters"]
 
     def test_post_match_carries_provenance(self):
         service = MatchService(StringSimMatcher(), router=_router(), max_wait_ms=1.0)
@@ -202,7 +217,7 @@ class TestHTTPRouterEndpoint:
             assert body["escalated"] in (True, False)
             assert body["spend_usd"] >= 0.0
 
-    def test_post_match_null_provenance_when_unrouted(self):
+    def test_post_match_names_the_matcher_when_unrouted(self):
         service = MatchService(StringSimMatcher(), max_wait_ms=1.0)
         with MatchHTTPServer(service) as server:
             left, right = TRACE[0]
@@ -210,7 +225,7 @@ class TestHTTPRouterEndpoint:
                 server.url, "/match", {"left": left, "right": right}
             )
             assert status == 200
-            assert body["backend"] is None
+            assert body["backend"] == "string_sim"
             assert body["escalated"] is False
             assert body["spend_usd"] == 0.0
 

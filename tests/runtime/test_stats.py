@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.reliability import counters
 from repro.runtime.stats import RuntimeStats
 
 
@@ -66,6 +67,16 @@ class TestCacheMergeAndSerialisation:
         assert block["phases"]["table3"]["tasks"] == 5
         assert block["cache"]["hit_rate"] == pytest.approx(0.5)
         assert block["total_wall_seconds"] >= 0
+
+    def test_reliability_block_keys_and_types(self):
+        """The process-wide counter keys, then the grid's; ints but one float."""
+        block = RuntimeStats().as_dict()["reliability"]
+        assert list(block) == [*counters.COUNTER_KEYS, "cell_retries", "cell_failures"]
+        assert repr(block["retry_sleep_seconds"]) == "0.0"
+        assert all(
+            repr(value) == "0" for key, value in block.items()
+            if key != "retry_sleep_seconds"
+        )
 
     def test_footer_mentions_cache_when_used(self):
         stats = RuntimeStats()

@@ -96,7 +96,7 @@ class TestOverloadPartitioning:
             max_batch_size=1,
             max_queue=2,
             max_wait_ms=0.0,
-            default_timeout_s=0.3,
+            default_budget_s=0.3,
         )
         with MatchHTTPServer(service) as running:
             with ThreadPoolExecutor(max_workers=6) as pool:

@@ -12,11 +12,12 @@ from repro.errors import (
     OverloadedError,
     ServingError,
 )
+from repro.reliability.budget import DeadlineBudget
 from repro.reliability.clock import FakeClock
 from repro.serving.scheduler import MicroBatcher, PendingResult
 
 
-def _doubler(items):
+def _doubler(items, budget):
     return [item * 2 for item in items]
 
 
@@ -24,7 +25,7 @@ class TestInlineMode:
     def test_drain_processes_fifo_batches(self):
         seen_batches = []
 
-        def record(items):
+        def record(items, budget):
             seen_batches.append(list(items))
             return items
 
@@ -49,6 +50,25 @@ class TestInlineMode:
         assert counters["batches"] == 2
         assert counters["processed"] == 6
         assert counters["occupancy_sum"] == 6  # 4 + 2
+
+    def test_batch_budget_is_the_second_argument(self):
+        clock = FakeClock()
+        seen = []
+
+        def record(items, budget):
+            seen.append(budget)
+            return items
+
+        batcher = MicroBatcher(record, clock=clock)
+        batcher.submit(1)
+        batcher.drain()
+        loose = DeadlineBudget(10.0, clock=clock)
+        tight = DeadlineBudget(2.0, clock=clock)
+        batcher.submit(2, budget=loose)
+        batcher.submit(3, budget=tight)
+        batcher.drain()
+        # No entry carried a budget, then the tightest one of the batch.
+        assert seen == [None, tight]
 
     def test_latency_measured_on_injected_clock(self):
         clock = FakeClock()
@@ -90,7 +110,7 @@ class TestAdmissionControl:
 
 class TestFailureDelivery:
     def test_batch_error_delivered_to_every_request(self):
-        def boom(items):
+        def boom(items, budget):
             raise ValueError("model fell over")
 
         batcher = MicroBatcher(boom, max_batch_size=2)
@@ -103,7 +123,7 @@ class TestFailureDelivery:
         assert batcher.counters()["batch_errors"] == 1
 
     def test_result_count_mismatch_is_a_serving_error(self):
-        batcher = MicroBatcher(lambda items: [1])
+        batcher = MicroBatcher(lambda items, budget: [1])
         pending = [batcher.submit(i) for i in range(3)]
         batcher.drain()
         with pytest.raises(ServingError, match="returned 1 results"):
@@ -119,7 +139,7 @@ class TestThreadedMode:
     def test_concurrent_submits_coalesce(self):
         release = threading.Event()
 
-        def gated(items):
+        def gated(items, budget):
             release.wait(5.0)
             return [item * 2 for item in items]
 
@@ -160,7 +180,7 @@ class TestLengthBucketedMode:
     def test_batches_group_similar_lengths(self):
         seen_batches = []
 
-        def record(items):
+        def record(items, budget):
             seen_batches.append(list(items))
             return [item * 2 for item in items]
 
@@ -176,7 +196,7 @@ class TestLengthBucketedMode:
     def test_oldest_request_never_starves(self):
         seen_batches = []
 
-        def record(items):
+        def record(items, budget):
             seen_batches.append(list(items))
             return items
 
@@ -199,7 +219,7 @@ class TestLengthBucketedMode:
     def test_without_length_key_order_is_fifo(self):
         seen_batches = []
 
-        def record(items):
+        def record(items, budget):
             seen_batches.append(list(items))
             return items
 

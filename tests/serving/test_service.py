@@ -132,6 +132,26 @@ class TestRetries:
         assert service.metrics()["counters"]["batch_retries"] == 2
         assert len(clock.sleeps) == 2  # backoff ran on the injected clock
 
+    @pytest.mark.parametrize("budget_s", [0.5, 1.0], ids=["short", "equal"])
+    def test_backoff_that_does_not_fit_the_budget_never_sleeps(self, budget_s):
+        """A 1 s backoff does not fit a 0.5 s budget, nor (the equality
+        edge, shared with RetryingClient) a budget with exactly 1 s left."""
+        clock = FakeClock()
+        matcher = _FlakyMatcher(n_failures=1)
+        service = MatchService(
+            matcher,
+            retry_policy=RetryPolicy(base_delay_s=1.0, jitter=0.0),
+            clock=clock,
+        )
+        with pytest.raises(DeadlineExceededError) as excinfo:
+            service.match_pair(["a"], ["a"], budget_s=budget_s)
+        assert excinfo.value.stage == "serving.retry_backoff"
+        counters = service.metrics()["counters"]
+        assert counters["timeouts"] == 1
+        assert counters["batch_retries"] == 0
+        assert clock.sleeps == []
+        assert matcher.calls == 1
+
     def test_exhausted_retries_surface_the_error(self):
         service = MatchService(
             _FlakyMatcher(n_failures=10),
@@ -162,7 +182,7 @@ class TestAdmissionAndDeadlines:
         matcher = _GatedMatcher()
         with MatchService(matcher, max_wait_ms=0.0) as service:
             with pytest.raises(DeadlineExceededError):
-                service.match_pair(["a"], ["a"], timeout_s=0.05)
+                service.match_pair(["a"], ["a"], budget_s=0.05)
             # Deadline expiries are their own counter, not generic errors.
             assert service.metrics()["counters"]["timeouts"] == 1
             assert service.metrics()["counters"]["errors"] == 0
