@@ -114,7 +114,6 @@ def _run_flap_arm(n_requests: int, with_breaker: bool) -> dict:
             open_duration_s=5.0,
             half_open_probes=1,
             clock=clock,
-            count=False,
         )
         if with_breaker
         else None

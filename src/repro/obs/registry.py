@@ -1,17 +1,17 @@
-"""The unified metrics registry: counters, gauges and histograms.
+"""The metrics registry: counters, gauges and histograms.
 
-Before this layer existed the repo had three disconnected telemetry
-silos — :class:`repro.runtime.stats.RuntimeStats` (study runs),
-:class:`repro.serving.service.ServingStats` (the match service) and the
-process-wide :mod:`repro.reliability.counters` table — each with its own
-snapshot shape and no way to see one run's activity in one place.
-:class:`MetricsRegistry` unifies them:
+:class:`MetricsRegistry` is the one series store of :mod:`repro.obs`.
+It holds what no other object counts — the span series a tracer feeds
+it — and renders the ``GET /metrics`` Prometheus view.  Counts that an
+object already keeps (a study's :class:`~repro.runtime.stats.RuntimeStats`,
+a service's :class:`~repro.serving.service.ServingStats`, a router's or
+a breaker's ``counters``) stay with that object and are never copied in.
 
-* **Counters** are monotonically increasing totals (``requests``,
-  ``faults_injected``); **gauges** are last-written values
-  (``queue_depth``); **histograms** bucket observations into *fixed*,
-  pre-declared upper bounds so two snapshots taken on different machines
-  (or merged across workers) line up bucket-for-bucket.
+* **Counters** are monotonically increasing totals (``spans_total``);
+  **gauges** are last-written values (``serving_queue_depth``);
+  **histograms** bucket observations into *fixed*, pre-declared upper
+  bounds so two snapshots taken on different machines (or merged across
+  workers) line up bucket-for-bucket.
 * Every series carries optional labels (``span_seconds{name="grid.cell"}``)
   and every update takes one lock — thread-pool grid cells and the
   serving dispatcher mutate a registry concurrently.
@@ -23,15 +23,11 @@ snapshot shape and no way to see one run's activity in one place.
   ``tests/obs/test_registry.py`` pins).  Gauges are last-write-wins.
 * :meth:`MetricsRegistry.render_prometheus` renders the whole registry
   in the Prometheus text exposition format, which ``GET /metrics``
-  serves alongside the existing JSON block.
+  serves alongside the JSON block.
 
-The legacy silos are absorbed, not replaced: :meth:`absorb_runtime_stats`,
-:meth:`absorb_serving_stats` and :meth:`absorb_reliability` map each
-silo's counters into namespaced registry series, so one snapshot covers
-a whole process regardless of which subsystems ran.  Timing goes through
-an injectable monotonic clock (any object with ``monotonic()``; default
-``time.perf_counter``) so the timed helpers are testable without
-sleeping.
+Timing goes through an injectable monotonic clock (any object with
+``monotonic()``; default ``time.perf_counter``) so the timed helpers are
+testable without sleeping.
 """
 
 from __future__ import annotations
@@ -46,8 +42,6 @@ from ..errors import ConfigurationError
 __all__ = [
     "DEFAULT_BUCKETS",
     "MetricsRegistry",
-    "get_registry",
-    "set_registry",
 ]
 
 #: Default histogram upper bounds, in seconds: spans range from
@@ -112,10 +106,10 @@ class _Histogram:
 class MetricsRegistry:
     """Thread-safe counters, gauges and fixed-bucket histograms.
 
-    One registry per scope of interest: the observability wiring
-    installs a process-wide default (see :func:`get_registry`), the
-    serving layer builds ephemeral ones to render ``GET /metrics``, and
-    tests construct their own.
+    One registry per scope of interest: a traced study run feeds its
+    tracer's span series into one, the serving layer builds an
+    ephemeral one to render ``GET /metrics``, and tests construct their
+    own.
     """
 
     def __init__(self, clock: Callable[[], float] | object | None = None) -> None:
@@ -257,78 +251,6 @@ class MetricsRegistry:
                 hist.count += entry["count"]
         return self
 
-    # -- absorbers for the legacy silos --------------------------------------
-
-    def absorb_runtime_stats(self, stats) -> "MetricsRegistry":
-        """Map one :class:`~repro.runtime.stats.RuntimeStats` into series.
-
-        Phases become ``study_phase_wall_seconds`` /
-        ``study_phase_tasks_total`` labelled by phase; cache, resume and
-        reliability counters become ``study_cache_*`` / ``study_resume_*``
-        and go through :meth:`absorb_reliability`'s naming so request
-        totals line up no matter which silo counted them.
-        """
-        for phase, wall in stats.phase_seconds.items():
-            self.gauge("study_phase_wall_seconds", wall, phase=phase)
-        for phase, tasks in stats.phase_tasks.items():
-            self.counter("study_phase_tasks_total", tasks, phase=phase)
-            self.counter(
-                "study_phase_task_seconds_total",
-                stats.phase_task_seconds.get(phase, 0.0),
-                phase=phase,
-            )
-        for key, value in stats.cache_counters.items():
-            self.counter(f"study_cache_{key}_total", value)
-        for key, value in stats.reliability_counters.items():
-            self.counter(f"reliability_{key}_total", value)
-        if stats.journal_active:
-            for key, value in stats.resume_counters.items():
-                self.counter(f"study_resume_{key}_total", value)
-        self.counter("study_cell_failures_recorded_total", len(stats.cell_failures))
-        self.gauge("study_workers", stats.workers)
-        return self
-
-    def absorb_serving_stats(
-        self, stats, scheduler: dict[str, float] | None = None
-    ) -> "MetricsRegistry":
-        """Map one :class:`~repro.serving.service.ServingStats` into series.
-
-        ``scheduler`` follows the same explicit-zero contract as
-        :meth:`ServingStats.as_dict <repro.serving.service.ServingStats.as_dict>`:
-        passing ``None`` emits every scheduler counter as ``0`` rather
-        than omitting the series, so dashboards never see a vanishing
-        metric when a service runs in inline-drain mode or without a
-        scheduler attached.
-        """
-        block = stats.as_dict(scheduler=scheduler)
-        for key, value in block["counters"].items():
-            self.counter(f"serving_{key}_total", value)
-        latency = block["latency"]
-        self.counter("serving_latency_measurements_total", latency["count"])
-        for key in ("mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms"):
-            self.gauge(f"serving_latency_{key}", latency[key])
-        for key, value in block["scheduler"].items():
-            if key == "mean_occupancy":
-                self.gauge("scheduler_mean_occupancy", value)
-            else:
-                self.counter(f"scheduler_{key}_total", value)
-        return self
-
-    def absorb_reliability(self, snapshot: dict[str, float] | None = None) -> "MetricsRegistry":
-        """Fold the process-wide reliability counter table into series.
-
-        With no argument the live table is snapshotted; pass an explicit
-        :func:`repro.reliability.counters.snapshot` (or a
-        ``delta_since``) to absorb a particular window.
-        """
-        if snapshot is None:
-            from ..reliability import counters as reliability_counters
-
-            snapshot = reliability_counters.snapshot()
-        for key, value in snapshot.items():
-            self.counter(f"reliability_{key}_total", value)
-        return self
-
     # -- rendering -----------------------------------------------------------
 
     def render_prometheus(self) -> str:
@@ -374,18 +296,3 @@ class MetricsRegistry:
             lines.append(f"{prom}_sum{_label_block(labels)} {_prom_value(hist.sum)}")
             lines.append(f"{prom}_count{_label_block(labels)} {hist.count}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-#: The process-wide default registry (``None`` = observability off).
-_REGISTRY: list[MetricsRegistry | None] = [None]
-
-
-def get_registry() -> MetricsRegistry | None:
-    """The installed process-wide registry, or ``None`` when obs is off."""
-    return _REGISTRY[0]
-
-
-def set_registry(registry: MetricsRegistry | None) -> MetricsRegistry | None:
-    """Install (or with ``None`` remove) the process-wide registry."""
-    _REGISTRY[0] = registry
-    return registry

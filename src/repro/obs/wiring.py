@@ -1,40 +1,34 @@
-"""Activation wiring for observability: env flags and session lifecycle.
+"""Activation wiring for observability: the trace flag and session lifecycle.
 
-Observability is **off by default** — no tracer installed, no registry,
-every :func:`~repro.obs.trace.span` call returning the shared no-op —
-and that default is load-bearing: with it, study outputs are
-byte-identical to a build without this layer.  This module is the one
-place the layer turns on, mirroring the cache/retry/fault wiring
-conventions of :mod:`repro.reliability.wiring`:
+Observability is **off by default** — no tracer installed, every
+:func:`~repro.obs.trace.span` call returning the shared no-op — and that
+default is load-bearing: with it, study outputs are byte-identical to a
+build without this layer.  This module is the one place the layer turns
+on, mirroring the cache/retry/fault wiring conventions of
+:mod:`repro.reliability.wiring`:
 
 ``REPRO_TRACE``
     Path of the trace JSONL file to write.  Setting it (or passing
     ``--trace`` / ``trace_path=`` explicitly, which wins over the env)
-    enables span recording and metric collection for the run.
+    enables span recording for the run.
 
-``REPRO_OBS``
-    ``1``-ish values enable the metrics registry *without* a trace file
-    — useful when only the ``observability`` block / ``/metrics``
-    output is wanted.  ``REPRO_TRACE`` implies it.
-
-:class:`ObservabilitySession` bundles one run's tracer + registry with
-an explicit lifecycle: ``install()`` makes them the process-wide
-defaults, ``finish(stats)`` absorbs the run's legacy stats and returns
-the ``observability`` document embedded in ``full_study.json``, and
-``uninstall()`` (idempotent, safe in ``finally``) flushes the trace and
-restores the no-op default.
+:class:`ObservabilitySession` bundles one run's tracer and the registry
+its spans feed, with an explicit lifecycle: ``install()`` makes the
+tracer the process-wide default, ``finish()`` flushes the trace and
+returns the ``observability`` document embedded in ``full_study.json``,
+and ``uninstall()`` (idempotent, safe in ``finally``) flushes the trace
+and restores the no-op default.
 """
 
 from __future__ import annotations
 
 import os
 
-from .registry import MetricsRegistry, set_registry
+from .registry import MetricsRegistry
 from .trace import Tracer, install_tracer, uninstall_tracer
 
 __all__ = [
     "TRACE_ENV",
-    "OBS_ENV",
     "ObservabilitySession",
     "activate_observability",
 ]
@@ -42,24 +36,14 @@ __all__ = [
 #: Environment variable naming the trace JSONL path (enables tracing).
 TRACE_ENV = "REPRO_TRACE"
 
-#: Environment variable enabling metrics collection without a trace file.
-OBS_ENV = "REPRO_OBS"
-
-#: Values of :data:`OBS_ENV` treated as "on".
-_TRUTHY = {"1", "true", "yes", "on"}
-
 
 def _env_trace_path() -> str | None:
     value = os.environ.get(TRACE_ENV, "").strip()
     return value or None
 
 
-def _env_obs_enabled() -> bool:
-    return os.environ.get(OBS_ENV, "").strip().lower() in _TRUTHY
-
-
 class ObservabilitySession:
-    """One run's tracer + registry with install/finish/uninstall lifecycle.
+    """One run's tracer + span registry with install/finish/uninstall lifecycle.
 
     Constructed by :func:`activate_observability`; a ``None`` session
     means observability is off and callers skip the whole block (the
@@ -67,79 +51,60 @@ class ObservabilitySession:
     None: ...`` in :mod:`repro.study.full_run`).
     """
 
-    def __init__(self, trace_path: str | None, clock=None) -> None:
-        """A session tracing to ``trace_path`` (``None`` = metrics only).
+    def __init__(self, trace_path: str, clock=None) -> None:
+        """A session tracing to ``trace_path``.
 
         ``clock`` is forwarded to both the registry and tracer (callable
         or ``monotonic()``-bearing object; default ``time.perf_counter``).
         """
         self.trace_path = trace_path
         self.registry = MetricsRegistry(clock=clock)
-        self.tracer: Tracer | None = (
-            Tracer(trace_path, clock=clock, registry=self.registry)
-            if trace_path
-            else None
-        )
+        self.tracer = Tracer(trace_path, clock=clock, registry=self.registry)
         self._installed = False
 
     def install(self) -> "ObservabilitySession":
-        """Make this session's registry/tracer the process-wide defaults."""
-        set_registry(self.registry)
-        if self.tracer is not None:
-            install_tracer(self.tracer)
+        """Make this session's tracer the process-wide default."""
+        install_tracer(self.tracer)
         self._installed = True
         return self
 
-    def flush(self) -> int:
-        """Flush the trace file if tracing; return spans written (0 if not)."""
-        if self.tracer is None:
-            return 0
-        return self.tracer.flush()
-
-    def finish(self, stats=None) -> dict:
-        """Absorb ``stats``, flush the trace, and return the export block.
+    def finish(self) -> dict:
+        """Flush the trace and return the export block.
 
         The returned document is what :mod:`repro.study.full_run` embeds
         as the ``observability`` key of ``full_study.json``: the trace
-        path and span count (when tracing) plus the full registry
-        snapshot.  ``stats`` is the run's
-        :class:`~repro.runtime.stats.RuntimeStats`, folded in via
-        :meth:`~repro.obs.registry.MetricsRegistry.absorb_runtime_stats`
-        so the block unifies all of the run's telemetry.
+        path, the span count and the snapshot of the registry the spans
+        fed (``span_seconds`` and ``spans_total``).  The run's phase,
+        cache and retry totals are in its ``runtime`` block.
         """
-        if stats is not None:
-            self.registry.absorb_runtime_stats(stats)
-        block: dict = {"enabled": True}
-        if self.tracer is not None:
-            spans = self.flush()
-            block["trace_path"] = str(self.trace_path)
-            block["spans_recorded"] = spans
-        block["metrics"] = self.registry.snapshot()
-        return block
+        spans = self.tracer.flush()
+        return {
+            "enabled": True,
+            "trace_path": str(self.trace_path),
+            "spans_recorded": spans,
+            "metrics": self.registry.snapshot(),
+        }
 
     def uninstall(self) -> None:
-        """Flush and restore the no-op defaults (idempotent, finally-safe)."""
+        """Flush and restore the no-op default (idempotent, finally-safe)."""
         if not self._installed:
             return
         self._installed = False
-        if self.tracer is not None:
-            self.tracer.flush()
-            uninstall_tracer()
-        set_registry(None)
+        self.tracer.flush()
+        uninstall_tracer()
 
 
 def activate_observability(
     trace_path: str | None = None, clock=None
 ) -> ObservabilitySession | None:
-    """Build + install a session if observability is requested, else ``None``.
+    """Build + install a session if tracing is requested, else ``None``.
 
     Resolution order mirrors the cache/retry wiring: an explicit
     ``trace_path`` wins; otherwise :data:`TRACE_ENV` names the trace
-    file; otherwise a truthy :data:`OBS_ENV` enables metrics-only mode.
-    When none apply, nothing is installed and every instrumented call
-    site stays on the no-op fast path.
+    file.  When neither applies, nothing is installed and every
+    instrumented call site stays on the no-op fast path.
     """
     path = trace_path if trace_path is not None else _env_trace_path()
-    if path is None and not _env_obs_enabled():
+    if path is None:
         return None
     return ObservabilitySession(path, clock=clock).install()

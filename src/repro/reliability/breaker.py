@@ -29,12 +29,10 @@ isolates a freeze.
 
 Everything is deterministic under a
 :class:`~repro.reliability.clock.FakeClock` (no wall time, no
-randomness), transitions are recorded both in a bounded local log and
-as ``breaker.transition`` obs spans, and totals mirror into the
-process-wide :mod:`repro.reliability.counters` table (``breaker_*``
-keys) the same way retries and faults do — so a study run's
-``full_study.json`` and a service's ``/metrics`` agree about what the
-breakers did.
+randomness), and transitions are recorded both in a bounded local log
+and as ``breaker.transition`` obs spans.  Each breaker keeps its totals
+in its own ``counters``, the one copy ``GET /metrics`` shows under
+``resilience.breakers``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from collections import deque
 
 from ..errors import CircuitOpenError, ConfigurationError
 from ..obs.trace import span
-from . import counters
 from .clock import Clock, SystemClock
 
 __all__ = ["STATE_CLOSED", "STATE_OPEN", "STATE_HALF_OPEN", "CircuitBreaker"]
@@ -80,7 +77,6 @@ class CircuitBreaker:
         half_open_probes: int = 2,
         slow_call_threshold_s: float | None = None,
         clock: Clock | None = None,
-        count: bool = True,
     ) -> None:
         """Configure the isolation policy for one backend.
 
@@ -90,8 +86,7 @@ class CircuitBreaker:
         cooldown before probing; ``half_open_probes`` the number of
         probe admissions (and required successes) to close again;
         ``slow_call_threshold_s`` (optional) classes slower successes as
-        failures; ``count=False`` skips the process-wide counter table
-        (isolated unit tests).
+        failures.
         """
         if not 0.0 < failure_threshold <= 1.0:
             raise ConfigurationError(
@@ -115,7 +110,6 @@ class CircuitBreaker:
         self.half_open_probes = int(half_open_probes)
         self.slow_call_threshold_s = slow_call_threshold_s
         self.clock = clock or SystemClock()
-        self.count = count
         self._lock = threading.Lock()
         self._state = STATE_CLOSED
         #: Rolling ``(timestamp, failed)`` outcomes inside ``window_s``.
@@ -139,11 +133,6 @@ class CircuitBreaker:
 
     # -- internals (caller holds the lock) -----------------------------------
 
-    def _record_counter(self, key: str, amount: float = 1.0) -> None:
-        """Mirror one event into the process-wide reliability table."""
-        if self.count:
-            counters.record(key, amount)
-
     def _transition(self, state: str, now: float) -> None:
         """Move to ``state``, logging and counting the transition."""
         self._state = state
@@ -153,11 +142,9 @@ class CircuitBreaker:
             self._probes_admitted = 0
             self._probe_successes = 0
             self.counters["opens"] += 1
-            self._record_counter("breaker_opens")
         elif state == STATE_CLOSED:
             self._window.clear()
             self.counters["closes"] += 1
-            self._record_counter("breaker_closes")
         else:  # half-open: probe slate starts clean
             self._probes_admitted = 0
             self._probe_successes = 0
@@ -193,17 +180,14 @@ class CircuitBreaker:
             if self._state == STATE_OPEN:
                 if now - self._opened_at < self.open_duration_s:
                     self.counters["rejected"] += 1
-                    self._record_counter("breaker_rejections")
                     return False
                 self._transition(STATE_HALF_OPEN, now)
             if self._state == STATE_HALF_OPEN:
                 if self._probes_admitted >= self.half_open_probes:
                     self.counters["rejected"] += 1
-                    self._record_counter("breaker_rejections")
                     return False
                 self._probes_admitted += 1
                 self.counters["probes"] += 1
-                self._record_counter("breaker_probes")
             self.counters["admitted"] += 1
             return True
 
@@ -235,7 +219,6 @@ class CircuitBreaker:
         ):
             with self._lock:
                 self.counters["slow_calls"] += n
-                self._record_counter("breaker_slow_calls", n)
             self.record_failure(n)
             return
         now = self.clock.monotonic()
@@ -255,7 +238,6 @@ class CircuitBreaker:
         now = self.clock.monotonic()
         with self._lock:
             self.counters["failures"] += n
-            self._record_counter("breaker_failures", n)
             if self._state == STATE_HALF_OPEN:
                 # A failed probe: back to open for another cooldown.
                 self._transition(STATE_OPEN, now)

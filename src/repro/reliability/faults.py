@@ -262,23 +262,15 @@ class FaultInjector(LLMClient):
         inner: LLMClient,
         plan: FaultPlan,
         clock: Clock | None = None,
-        count: bool = True,
     ) -> None:
-        """Wrap ``inner`` under ``plan``; ``count=False`` skips the global
-        reliability counters (useful for isolated unit tests)."""
+        """Wrap ``inner`` under ``plan``, sleeping on ``clock``."""
         self.inner = inner
         self.plan = plan
         self.clock = clock or SystemClock()
-        self.count = count
         self.model_name = inner.model_name
         self.cache_salt = getattr(inner, "cache_salt", "")
         self._attempts: dict[str, int] = {}
         self._consecutive: dict[str, int] = {}
-
-    def _record(self, key: str, amount: float = 1.0) -> None:
-        """Fold one event into the process-wide counters (if counting)."""
-        if self.count:
-            counters.record(key, amount)
 
     def _finish(self, response: LLMResponse) -> LLMResponse:
         """Deliver a completed response, honouring any crash point."""
@@ -309,16 +301,16 @@ class FaultInjector(LLMClient):
         plan = self.plan
         if draw < plan.transient_rate:
             self._consecutive[key] = self._consecutive.get(key, 0) + 1
-            self._record("faults_injected")
-            self._record("transient_faults")
+            counters.record("faults_injected")
+            counters.record("transient_faults")
             raise TransientLLMError(
                 f"injected transient failure (attempt {attempt})"
             )
         draw -= plan.transient_rate
         if draw < plan.rate_limit_rate:
             self._consecutive[key] = self._consecutive.get(key, 0) + 1
-            self._record("faults_injected")
-            self._record("rate_limit_faults")
+            counters.record("faults_injected")
+            counters.record("rate_limit_faults")
             raise RateLimitError(
                 f"injected rate limit (attempt {attempt})",
                 retry_after_s=plan.retry_after_s,
@@ -326,8 +318,8 @@ class FaultInjector(LLMClient):
         draw -= plan.rate_limit_rate
         if draw < plan.malformed_rate:
             self._consecutive[key] = self._consecutive.get(key, 0) + 1
-            self._record("faults_injected")
-            self._record("malformed_completions")
+            counters.record("faults_injected")
+            counters.record("malformed_completions")
             response = self.inner.complete(request)
             return self._finish(
                 LLMResponse(
@@ -341,8 +333,8 @@ class FaultInjector(LLMClient):
         if draw < plan.latency_rate:
             # Latency is not an error: the attempt still succeeds, so the
             # consecutive-error run for this key ends here.
-            self._record("faults_injected")
-            self._record("latency_spikes")
+            counters.record("faults_injected")
+            counters.record("latency_spikes")
             self._consecutive[key] = 0
             self.clock.sleep(plan.latency_s)
             return self._finish(self.inner.complete(request))

@@ -69,27 +69,19 @@ class RetryingClient(LLMClient):
         policy: RetryPolicy | None = None,
         clock: Clock | None = None,
         validate: Callable[[LLMResponse], None] | None = None,
-        count: bool = True,
     ) -> None:
         """Wrap ``inner`` under ``policy`` (default
         :data:`~repro.reliability.policy.DEFAULT_POLICY` semantics).
 
         ``validate`` may raise :class:`~repro.errors.MalformedCompletionError`
-        to force a resample; ``count=False`` skips the process-wide
-        reliability counters for isolated unit tests.
+        to force a resample.
         """
         self.inner = inner
         self.policy = policy or RetryPolicy()
         self.clock = clock or SystemClock()
         self.validate = validate
-        self.count = count
         self.model_name = inner.model_name
         self.cache_salt = getattr(inner, "cache_salt", "")
-
-    def _record(self, key: str, amount: float = 1.0) -> None:
-        """Fold one event into the process-wide counters (if counting)."""
-        if self.count:
-            counters.record(key, amount)
 
     def complete(self, request: LLMRequest) -> LLMResponse:
         """Complete ``request`` under the retry policy and deadline.
@@ -116,10 +108,10 @@ class RetryingClient(LLMClient):
                     response = self.inner.complete(request)
                     if self.validate is not None:
                         self.validate(response)
-                    self._record("attempts")
+                    counters.record("attempts")
                     return response
                 except LLMError as error:
-                    self._record("attempts")
+                    counters.record("attempts")
                     last_error = error
                     if not policy.retryable(error):
                         raise
@@ -131,9 +123,9 @@ class RetryingClient(LLMClient):
                             f"deadline of {timeout}s cannot fit a {delay:.3f}s "
                             f"backoff after attempt {attempt}"
                         ) from error
-                    self._record("request_retries")
+                    counters.record("request_retries")
                     if delay > 0:
-                        self._record("retry_sleep_seconds", delay)
+                        counters.record("retry_sleep_seconds", delay)
                         self.clock.sleep(delay)
 
             raise RetryExhaustedError(

@@ -58,7 +58,6 @@ from ..errors import ConfigurationError, ReproError
 from ..llm.tokens import count_tokens
 from ..matchers.base import Matcher
 from ..obs.trace import span
-from ..reliability import counters as reliability_counters
 from ..reliability.breaker import CircuitBreaker
 from ..reliability.budget import DeadlineBudget
 from ..reliability.clock import Clock, SystemClock
@@ -454,9 +453,8 @@ class MatchRouter:
                         raise
                     # Every pair here escalated through a banded rung,
                     # so a cheaper answer exists: degrade, don't fail.
-                    # The swallowed error is counted so a silently
-                    # failing authority rung shows up on /metrics.
-                    reliability_counters.record("routing_backend_errors")
+                    # The swallowed error shows on /metrics as the
+                    # router's ``backend_failures``.
                     for pos, i in enumerate(active):
                         decisions[i] = self._degraded(
                             carry[i], spent[pos], backend_failed=True
@@ -483,7 +481,6 @@ class MatchRouter:
                     # No cheaper rung exists below the entry rung; the
                     # caller's retry layer owns this failure.
                     raise
-                reliability_counters.record("routing_backend_errors")
                 for pos, i in enumerate(active):
                     decisions[i] = self._degraded(
                         carry[i], spent[pos], backend_failed=True
@@ -545,6 +542,13 @@ class MatchRouter:
 
     # -- introspection --------------------------------------------------------
 
+    def counter_totals(self) -> dict:
+        """The routing counters, JSON-ready (``spend_usd`` to 1e-8 USD)."""
+        return {
+            k: (round(v, 8) if k == "spend_usd" else int(v))
+            for k, v in self.counters.items()
+        }
+
     def state(self) -> dict:
         """JSON-ready router state for ``GET /router``."""
         return {
@@ -561,10 +565,7 @@ class MatchRouter:
                 }
                 for b in self.backends
             ],
-            "counters": {
-                k: (round(v, 8) if k == "spend_usd" else int(v))
-                for k, v in self.counters.items()
-            },
+            "counters": self.counter_totals(),
             "per_request_budget_usd": self.per_request_budget_usd,
             "ledger": self.ledger.as_dict() if self.ledger is not None else None,
         }

@@ -17,13 +17,16 @@ Three endpoints, all JSON:
     saturated queue, a dead dispatcher thread, or an open circuit
     breaker; the ``degraded`` block in the body lists every cause.
 ``GET /metrics``
-    The :class:`~repro.serving.service.ServingStats` block merged with
-    the scheduler counters (explicit zeros when no batch has flushed)
-    and a ``routing`` block with the router counters and drift scores
-    (``drift`` is ``null`` without a monitor).  JSON by default; ``GET /metrics?format=prometheus`` — or
-    an ``Accept`` header mentioning ``text/plain`` — returns the same
-    snapshot in the Prometheus text exposition format instead, rendered
-    through :class:`~repro.obs.registry.MetricsRegistry`.
+    Each count once, read from the object that keeps it: the service's
+    request ``counters`` and ``latency``, the batcher's ``scheduler``
+    counters, a ``routing`` block with the router counters and drift
+    scores (``drift`` is ``null`` without a monitor), and
+    ``resilience.breakers``, one entry per rung breaker.  JSON by
+    default; ``GET /metrics?format=prometheus`` — or an ``Accept``
+    header mentioning ``text/plain`` — returns the same snapshot in the
+    Prometheus text exposition format instead, rendered through
+    :class:`~repro.obs.registry.MetricsRegistry`, plus the live queue
+    depth, saturation and dispatcher gauges.
 ``GET /router``
     The routing state: the backend ladder (one rung on a service built
     without a router) with per-rung decision counts and confidence

@@ -16,8 +16,9 @@ when its error is retryable (same classification as offline,
 backoff), a per-request :class:`~repro.reliability.budget.DeadlineBudget`
 bounds the caller's wait, and overload sheds with a structured
 :class:`~repro.errors.OverloadedError` instead of hanging.  Every
-outcome is counted in :class:`ServingStats`, the block ``GET /metrics``
-dumps.
+request outcome is counted in :class:`ServingStats`; ``GET /metrics``
+reads it next to the batcher's, the router's and the breakers' own
+counters, each count kept once by the object that produces it.
 
 Determinism: a service that was never :meth:`start`-ed dispatches
 *inline* — submissions are processed in deterministic FIFO batches when
@@ -53,8 +54,7 @@ from ..errors import DeadlineExceededError, OverloadedError, ReproError, Serving
 from ..matchers.base import Matcher
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import span
-from ..reliability import counters as reliability_counters
-from ..reliability.breaker import STATE_OPEN
+from ..reliability.breaker import STATE_GAUGE, STATE_OPEN
 from ..reliability.budget import DeadlineBudget
 from ..reliability.clock import Clock, SystemClock
 from ..reliability.policy import RetryPolicy
@@ -117,11 +117,14 @@ class LookupMatch:
 
 
 class ServingStats:
-    """Thread-safe request/latency/batch accounting for one service.
+    """Thread-safe request/latency accounting for one service.
 
     Counters are plain monotonically increasing totals, so a replayed
     request trace reproduces them exactly; latency percentiles are
-    computed over a bounded window of the most recent requests.
+    computed over a bounded window of the most recent requests.  Only
+    what the service itself decides is counted here: scored pairs,
+    escalations, spend and degradations are the router's counts
+    (:attr:`MatchRouter.counters <repro.routing.policy.MatchRouter.counters>`).
 
     The request counters partition exactly: every admitted request is
     eventually accounted as completed (one recorded latency), ``shed``,
@@ -131,6 +134,8 @@ class ServingStats:
     caller before their outcomes are awaited, so without the counter
     they would silently fall out of the accounting.  The partition is
     machine-checked by ``repro.verify``'s stats-partition invariant.
+    ``unexpected_errors`` counts the subset of ``errors`` that were not
+    library errors — a programming error escaping the batch callable.
     """
 
     #: How many recent latencies the percentile window keeps.
@@ -139,31 +144,22 @@ class ServingStats:
     def __init__(self) -> None:
         """All-zero counters and an empty latency window."""
         self._lock = threading.Lock()
-        self.counters: dict[str, float] = {
+        self.counters: dict[str, int] = {
             "requests": 0,
             "lookups": 0,
-            "pairs_scored": 0,
             "matches": 0,
             "shed": 0,
             "timeouts": 0,
             "errors": 0,
+            "unexpected_errors": 0,
             "abandoned": 0,
             "batch_retries": 0,
-            # Routing totals: every scored pair is routed, through a
-            # one-rung ladder when the service was built without one.
-            "routed": 0,
-            "escalated": 0,
-            "budget_limited": 0,
-            "breaker_open": 0,
-            "backend_failed": 0,
-            "deadline_limited": 0,
-            "spend_usd": 0.0,
         }
         self._latencies: deque[float] = deque(maxlen=self.WINDOW)
         self._latency_total = 0.0
         self._latency_count = 0
 
-    def bump(self, key: str, amount: float = 1.0) -> None:
+    def bump(self, key: str, amount: int = 1) -> None:
         """Add ``amount`` to one counter."""
         with self._lock:
             self.counters[key] += amount
@@ -209,40 +205,11 @@ class ServingStats:
             "max_ms": round(1000.0 * window[-1], 3),
         }
 
-    #: Scheduler counters the metrics block always carries.  When no
-    #: scheduler snapshot is supplied (no batcher attached, or a batcher
-    #: in inline-drain mode that never flushed), these render as explicit
-    #: zeros — the block never silently disappears, so merge paths and
-    #: dashboards see a stable schema (see ``docs/OBSERVABILITY.md``).
-    SCHEDULER_KEYS = (
-        "submitted", "shed", "expired", "batches", "processed",
-        "batch_errors", "occupancy_sum",
-    )
-
-    def as_dict(self, scheduler: dict[str, float] | None = None) -> dict:
-        """The ``GET /metrics`` block, merging scheduler counters.
-
-        ``scheduler`` is a :meth:`MicroBatcher.counters
-        <repro.serving.scheduler.MicroBatcher.counters>` snapshot;
-        passing ``None`` emits every scheduler counter as an explicit
-        ``0`` rather than omitting the ``scheduler`` key, so consumers
-        never need an existence check and zero always means "no batches
-        flushed", not "unknown".
-        """
+    def as_dict(self) -> dict:
+        """The service's own part of the ``GET /metrics`` block."""
         with self._lock:
-            counters = {k: (int(v) if float(v).is_integer() else v)
-                        for k, v in self.counters.items()}
-        block: dict = {"counters": counters, "latency": self.latency_summary()}
-        if scheduler is None:
-            scheduler = {key: 0 for key in self.SCHEDULER_KEYS}
-        batches = scheduler.get("batches", 0)
-        occupancy = scheduler.get("occupancy_sum", 0)
-        block["scheduler"] = {
-            **{key: 0 for key in self.SCHEDULER_KEYS},
-            **{k: int(v) for k, v in scheduler.items()},
-            "mean_occupancy": round(occupancy / batches, 3) if batches else 0.0,
-        }
-        return block
+            counters = dict(self.counters)
+        return {"counters": counters, "latency": self.latency_summary()}
 
 
 class MatchService:
@@ -399,18 +366,6 @@ class MatchService:
         a shadow candidate's latency never extends a live response.
         """
         decisions = self.router.route(pairs, budget=budget)
-        self.stats.bump("pairs_scored", len(pairs))
-        self.stats.bump("routed", len(decisions))
-        self.stats.bump("escalated", sum(1 for d in decisions if d.escalated))
-        self.stats.bump("budget_limited",
-                        sum(1 for d in decisions if d.budget_limited))
-        self.stats.bump("breaker_open",
-                        sum(1 for d in decisions if d.breaker_open))
-        self.stats.bump("backend_failed",
-                        sum(1 for d in decisions if d.backend_failed))
-        self.stats.bump("deadline_limited",
-                        sum(1 for d in decisions if d.deadline_limited))
-        self.stats.bump("spend_usd", sum(d.spend_usd for d in decisions))
         if self.drift_monitor is not None:
             for pair, decision in zip(pairs, decisions):
                 self.drift_monitor.update(pair, decision.label)
@@ -473,12 +428,11 @@ class MatchService:
         except Exception:
             # Not part of the library's error taxonomy — a programming
             # error escaping the batch callable.  Still counted as an
-            # error (the partition must stay exact) and mirrored into
-            # the process-wide swallowed-error table so the /metrics
-            # endpoint shows the anomaly even after the caller's stack
-            # trace scrolls away.
+            # error (the partition must stay exact), and separately so
+            # the /metrics endpoint shows the anomaly even after the
+            # caller's stack trace scrolls away.
             self.stats.bump("errors")
-            reliability_counters.record("serving_unexpected_errors")
+            self.stats.bump("unexpected_errors")
             raise
         latency = pending.latency_s or 0.0
         self.stats.record_latency(latency)
@@ -659,31 +613,33 @@ class MatchService:
     def metrics(self) -> dict:
         """The full stats block for the ``/metrics`` endpoint.
 
-        The ``routing`` block carries the router counters plus the drift
-        monitor's current scores/events (``None`` without a monitor).
+        Reads each owner of a count once: the service's
+        :class:`ServingStats`, the batcher's scheduler counters, the
+        router's counters with the drift monitor's current scores/events
+        (``None`` without a monitor), and every rung's breaker.
         """
-        block = self.stats.as_dict(scheduler=self._batcher.counters())
+        block = self.stats.as_dict()
+        scheduler = self._batcher.counters()
+        batches = scheduler["batches"]
+        block["scheduler"] = {
+            **scheduler,
+            "mean_occupancy": (
+                round(scheduler["occupancy_sum"] / batches, 3) if batches else 0.0
+            ),
+        }
         block["routing"] = {
-            "counters": self.router.state()["counters"],
+            "counters": self.router.counter_totals(),
             "drift": (
                 self.drift_monitor.as_dict()
                 if self.drift_monitor is not None
                 else None
             ),
         }
-        snapshot = reliability_counters.snapshot()
         block["resilience"] = {
             "breakers": {
                 backend.name: backend.breaker.as_dict()
                 for backend in self.router.backends
                 if backend.breaker is not None
-            },
-            # Errors a degradation path deliberately swallowed (process-
-            # wide totals): a rising number here is how a masked bug
-            # announces itself without a debugger attached.
-            "swallowed_errors": {
-                key: int(snapshot[key])
-                for key in reliability_counters.SWALLOWED_ERROR_KEYS
             },
         }
         return block
@@ -701,40 +657,44 @@ class MatchService:
         }
 
     def prometheus_metrics(self) -> str:
-        """The same stats in the Prometheus text exposition format.
+        """The :meth:`metrics` block in the Prometheus text exposition format.
 
-        Builds an ephemeral :class:`~repro.obs.registry.MetricsRegistry`,
-        absorbs this service's stats + scheduler counters into it, and
-        renders — so the JSON and Prometheus views of ``GET /metrics``
-        are always two encodings of one snapshot.
+        Encodes one :meth:`metrics` snapshot, so the JSON and Prometheus
+        views of ``GET /metrics`` cannot disagree, plus the three live
+        gauges :meth:`healthz` also reads: queue depth, saturation and
+        dispatcher liveness.
         """
+        block = self.metrics()
         registry = MetricsRegistry()
-        registry.absorb_serving_stats(self.stats, scheduler=self._batcher.counters())
+        for key, value in block["counters"].items():
+            registry.counter(f"serving_{key}_total", value)
+        for key, value in block["latency"].items():
+            if key == "count":
+                registry.counter("serving_latency_measurements_total", value)
+            else:
+                registry.gauge(f"serving_latency_{key}", value)
+        for key, value in block["scheduler"].items():
+            if key == "mean_occupancy":
+                registry.gauge("scheduler_mean_occupancy", value)
+            else:
+                registry.counter(f"scheduler_{key}_total", value)
         registry.gauge("serving_queue_depth", self._batcher.queue_depth)
         registry.gauge("serving_saturated", 1.0 if self._batcher.saturated else 0.0)
         registry.gauge(
             "serving_dispatcher_alive",
             1.0 if self._batcher.dispatcher_alive else 0.0,
         )
-        swallowed = reliability_counters.snapshot()
-        for key in reliability_counters.SWALLOWED_ERROR_KEYS:
-            registry.counter(f"reliability_{key}_total", swallowed[key])
-        for backend in self.router.backends:
-            if backend.breaker is not None:
-                registry.gauge(
-                    "breaker_state",
-                    backend.breaker.state_gauge(),
-                    backend=backend.name,
-                )
-                registry.counter(
-                    "breaker_opens_total",
-                    backend.breaker.counters["opens"],
-                    backend=backend.name,
-                )
-        for key, value in self.router.state()["counters"].items():
+        for name, breaker in block["resilience"]["breakers"].items():
+            registry.gauge(
+                "breaker_state", STATE_GAUGE[breaker["state"]], backend=name
+            )
+            registry.counter(
+                "breaker_opens_total", breaker["counters"]["opens"], backend=name
+            )
+        for key, value in block["routing"]["counters"].items():
             registry.counter(f"router_{key}_total", value)
-        if self.drift_monitor is not None:
-            drift = self.drift_monitor.as_dict()
+        drift = block["routing"]["drift"]
+        if drift is not None:
             registry.counter("drift_windows_total", drift["windows_completed"])
             registry.counter("drift_events_total", drift["events"])
             if drift["last_scores"] is not None:

@@ -144,7 +144,7 @@ def run_study(
     for the run: spans covering grid cells, LLM request retries, batch
     chunks and fast-path inference are exported as self-checksummed
     JSONL at that path, and the document gains an ``observability``
-    block unifying all telemetry (see ``docs/OBSERVABILITY.md``).  With
+    block summarising the trace (see ``docs/OBSERVABILITY.md``).  With
     observability off (the default) the document is byte-identical to
     one produced without the layer.
 
@@ -166,7 +166,7 @@ def run_study(
     obs = activate_observability(
         str(trace_path) if trace_path is not None else None
     )
-    if obs is not None and obs.trace_path:
+    if obs is not None:
         print(f"[full_run] tracing spans -> {obs.trace_path}", flush=True)
     executor = make_executor(
         workers=n_workers,
@@ -314,9 +314,9 @@ def run_study(
             except Exception as error:  # pragma: no cover - needs the full roster
                 document["findings"] = {"error": str(error)}
         if obs is not None:
-            # The unified telemetry block: the registry snapshot (with
-            # RuntimeStats absorbed) plus the trace export summary.
-            document["observability"] = obs.finish(stats)
+            # The trace export summary and its span series; the run's
+            # own totals are in the ``runtime`` block.
+            document["observability"] = obs.finish()
     finally:
         # Uninstall first so a crashed run still flushes its partial
         # trace (the flush is atomic and idempotent) and never leaks an

@@ -65,7 +65,7 @@ class _Drill:
         self.clock = FakeClock()
         self.injector = FaultInjector(
             EchoClient(fixed_answer="Yes"), plan=FaultPlan(),
-            clock=self.clock, count=False,
+            clock=self.clock,
         )
         authority = MatchGPTMatcher(self.injector).fit(
             [], StudyConfig(name="chaos", seeds=(0,), dataset_scale=0.05)
@@ -78,7 +78,6 @@ class _Drill:
             half_open_probes=1,
             slow_call_threshold_s=1.0,
             clock=self.clock,
-            count=False,
         )
         router = MatchRouter(
             backends=[
@@ -194,8 +193,8 @@ class TestServingChaosDrill:
         assert counters["requests"] == 13
         assert counters["errors"] == 0
         assert counters["timeouts"] == 0
-        assert counters["backend_failed"] == 3
-        assert counters["breaker_open"] == 3
+        assert drill.service.router.counters["backend_failures"] == 3
+        assert drill.service.router.counters["breaker_open"] == 3
 
         # The full open/probe/close history is on the wire: twice
         # around the state machine, in order.

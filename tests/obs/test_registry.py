@@ -10,8 +10,6 @@ from repro.errors import ConfigurationError
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    get_registry,
-    set_registry,
 )
 from repro.runtime.executor import make_executor
 
@@ -202,44 +200,3 @@ class TestPrometheusRendering:
         reg = MetricsRegistry()
         reg.counter("x_total", 1, zeta="1", alpha="2")
         assert 'x_total{alpha="2",zeta="1"} 1' in reg.render_prometheus()
-
-
-class TestAbsorb:
-    def test_absorb_serving_stats_includes_explicit_scheduler_zeros(self):
-        from repro.serving.service import ServingStats
-
-        stats = ServingStats()
-        stats.bump("requests")
-        stats.record_latency(0.003)
-        reg = MetricsRegistry()
-        reg.absorb_serving_stats(stats)  # inline drain: no scheduler
-        names = {c["name"] for c in reg.snapshot()["counters"]}
-        # The scheduler counters appear as explicit zeros, not silently
-        # dropped (the ISSUE-7 inline-drain bugfix).
-        assert "scheduler_batches_total" in names
-        values = {c["name"]: c["value"] for c in reg.snapshot()["counters"]}
-        assert values["scheduler_batches_total"] == 0
-
-    def test_absorb_reliability_uses_current_counters(self):
-        from repro.reliability import counters as rel_counters
-
-        rel_counters.reset()
-        rel_counters.record("request_retries")
-        try:
-            reg = MetricsRegistry()
-            reg.absorb_reliability()
-            values = {c["name"]: c["value"] for c in reg.snapshot()["counters"]}
-            assert values["reliability_request_retries_total"] == 1
-        finally:
-            rel_counters.reset()
-
-
-class TestGlobalSlot:
-    def test_set_and_get(self):
-        previous = get_registry()
-        reg = MetricsRegistry()
-        try:
-            set_registry(reg)
-            assert get_registry() is reg
-        finally:
-            set_registry(previous)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CircuitOpenError, ConfigurationError
-from repro.reliability import counters
 from repro.reliability.breaker import (
     CircuitBreaker,
     STATE_CLOSED,
@@ -25,7 +24,6 @@ def _breaker(**kwargs) -> tuple[CircuitBreaker, FakeClock]:
         open_duration_s=10.0,
         half_open_probes=2,
         clock=clock,
-        count=False,
     )
     defaults.update(kwargs)
     return CircuitBreaker(**defaults), clock
@@ -190,23 +188,15 @@ class TestIntrospection:
         clock.advance(10.0)
         assert breaker.state_gauge() == 0.5
 
-    def test_global_counters_mirror_when_counting(self):
-        before = counters.snapshot()
-        breaker, clock = _breaker(count=True)
+    def test_counters_tally_one_open_probe_close_cycle(self):
+        breaker, clock = _breaker()
         breaker.record_failure(4)
         assert not breaker.allow()
         clock.advance(10.0)
         assert breaker.allow()
         breaker.record_success(2)
-        delta = counters.delta_since(before)
-        assert delta["breaker_opens"] == 1
-        assert delta["breaker_closes"] == 1
-        assert delta["breaker_failures"] == 4
-        assert delta["breaker_rejections"] == 1
-        assert delta["breaker_probes"] == 1
-
-    def test_count_false_skips_the_global_table(self):
-        before = counters.snapshot()
-        breaker, _clock = _breaker(count=False)
-        breaker.record_failure(4)
-        assert counters.delta_since(before)["breaker_opens"] == 0
+        assert breaker.counters["opens"] == 1
+        assert breaker.counters["closes"] == 1
+        assert breaker.counters["failures"] == 4
+        assert breaker.counters["rejected"] == 1
+        assert breaker.counters["probes"] == 1

@@ -49,10 +49,10 @@ class TestDeterminism:
     def test_fault_sequence_is_independent_of_request_order(self):
         """Per-prompt outcomes depend on (seed, prompt, attempt) only —
         interleaving requests differently must not move any fault."""
-        forward = FaultInjector(EchoClient(), _plan(), count=False)
+        forward = FaultInjector(EchoClient(), _plan())
         ordered = {p: [_outcome(forward, p) for _ in range(3)] for p in _PROMPTS}
 
-        shuffled = FaultInjector(EchoClient(), _plan(), count=False)
+        shuffled = FaultInjector(EchoClient(), _plan())
         interleaved: dict[str, list[str]] = {p: [] for p in _PROMPTS}
         for attempt in range(3):  # round-robin instead of depth-first
             for p in reversed(_PROMPTS):
@@ -60,14 +60,14 @@ class TestDeterminism:
         assert interleaved == ordered
 
     def test_fresh_injector_replays_identically(self):
-        a = FaultInjector(EchoClient(), _plan(), count=False)
-        b = FaultInjector(EchoClient(), _plan(), count=False)
+        a = FaultInjector(EchoClient(), _plan())
+        b = FaultInjector(EchoClient(), _plan())
         for p in _PROMPTS:
             assert [_outcome(a, p)] * 1 == [_outcome(b, p)]
 
     def test_seed_changes_the_sequence(self):
-        a = FaultInjector(EchoClient(), _plan(seed=5), count=False)
-        b = FaultInjector(EchoClient(), _plan(seed=6), count=False)
+        a = FaultInjector(EchoClient(), _plan(seed=5))
+        b = FaultInjector(EchoClient(), _plan(seed=6))
         assert [_outcome(a, p) for p in _PROMPTS] != [
             _outcome(b, p) for p in _PROMPTS
         ]
@@ -77,7 +77,7 @@ class TestBoundedAdversary:
     def test_consecutive_errors_capped_then_clean(self):
         plan = _plan(transient_rate=1.0, rate_limit_rate=0.0,
                      malformed_rate=0.0, max_consecutive=3)
-        injector = FaultInjector(EchoClient("No"), plan, count=False)
+        injector = FaultInjector(EchoClient("No"), plan)
         request = LLMRequest(prompt=_PROMPTS[0])
         for _ in range(3):
             with pytest.raises(TransientLLMError):
@@ -92,9 +92,9 @@ class TestBoundedAdversary:
         plan = _plan(transient_rate=0.8, rate_limit_rate=0.1,
                      malformed_rate=0.1)
         client = RetryingClient(
-            FaultInjector(EchoClient("Yes"), plan, count=False),
+            FaultInjector(EchoClient("Yes"), plan),
             RetryPolicy(base_delay_s=0.0, jitter=0.0),
-            clock=FakeClock(), validate=validate_yes_no, count=False,
+            clock=FakeClock(), validate=validate_yes_no,
         )
         for p in _PROMPTS:
             assert client.complete(LLMRequest(prompt=p)).text == "Yes"
@@ -104,7 +104,7 @@ class TestFaultShapes:
     def test_rate_limit_carries_the_hint(self):
         plan = _plan(transient_rate=0.0, rate_limit_rate=1.0,
                      malformed_rate=0.0, retry_after_s=0.25)
-        injector = FaultInjector(EchoClient(), plan, count=False)
+        injector = FaultInjector(EchoClient(), plan)
         with pytest.raises(RateLimitError) as excinfo:
             injector.complete(LLMRequest(prompt=_PROMPTS[0]))
         assert excinfo.value.retry_after_s == 0.25
@@ -114,7 +114,7 @@ class TestFaultShapes:
             parse_answer(MALFORMED_TEXT)
         plan = _plan(transient_rate=0.0, rate_limit_rate=0.0,
                      malformed_rate=1.0)
-        injector = FaultInjector(EchoClient("Yes"), plan, count=False)
+        injector = FaultInjector(EchoClient("Yes"), plan)
         response = injector.complete(LLMRequest(prompt=_PROMPTS[0]))
         assert response.text == MALFORMED_TEXT
         with pytest.raises(MalformedCompletionError):
@@ -123,8 +123,7 @@ class TestFaultShapes:
     def test_latency_spike_sleeps_but_succeeds(self):
         clock = FakeClock()
         plan = FaultPlan(latency_rate=1.0, latency_s=0.3, seed=1)
-        injector = FaultInjector(EchoClient("No"), plan, clock=clock,
-                                 count=False)
+        injector = FaultInjector(EchoClient("No"), plan, clock=clock)
         assert injector.complete(LLMRequest(prompt=_PROMPTS[0])).text == "No"
         assert clock.sleeps == [0.3]
 
@@ -174,7 +173,7 @@ class TestCrashPoint:
         monkeypatch.setattr(
             faults.os, "_exit", lambda code: exits.append(code) or _exit_stub()
         )
-        injector = FaultInjector(EchoClient(), FaultPlan(crash_at=2), count=False)
+        injector = FaultInjector(EchoClient(), FaultPlan(crash_at=2))
         injector.complete(LLMRequest(prompt=_PROMPTS[0]))  # 1st survives
         with pytest.raises(_StubExit):
             injector.complete(LLMRequest(prompt=_PROMPTS[1]))  # 2nd dies
@@ -183,8 +182,8 @@ class TestCrashPoint:
     def test_counter_is_shared_across_injectors(self, monkeypatch):
         monkeypatch.setattr(faults.os, "_exit", lambda code: _exit_stub())
         plan = FaultPlan(crash_at=2)
-        first = FaultInjector(EchoClient(), plan, count=False)
-        second = FaultInjector(EchoClient(), plan, count=False)
+        first = FaultInjector(EchoClient(), plan)
+        second = FaultInjector(EchoClient(), plan)
         first.complete(LLMRequest(prompt=_PROMPTS[0]))
         with pytest.raises(_StubExit):
             second.complete(LLMRequest(prompt=_PROMPTS[1]))
@@ -194,7 +193,7 @@ class TestCrashPoint:
         monkeypatch.setattr(faults.os, "_exit", lambda code: _exit_stub())
         token = faults.register_crash_hook(lambda: events.append("torn"))
         injector = FaultInjector(
-            EchoClient(), FaultPlan(crash_at=1, torn_write=True), count=False
+            EchoClient(), FaultPlan(crash_at=1, torn_write=True)
         )
         with pytest.raises(_StubExit):
             injector.complete(LLMRequest(prompt=_PROMPTS[0]))
@@ -205,7 +204,7 @@ class TestCrashPoint:
         events = []
         monkeypatch.setattr(faults.os, "_exit", lambda code: _exit_stub())
         faults.register_crash_hook(lambda: events.append("torn"))
-        injector = FaultInjector(EchoClient(), FaultPlan(crash_at=1), count=False)
+        injector = FaultInjector(EchoClient(), FaultPlan(crash_at=1))
         with pytest.raises(_StubExit):
             injector.complete(LLMRequest(prompt=_PROMPTS[0]))
         assert events == []

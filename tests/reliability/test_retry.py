@@ -20,6 +20,7 @@ from repro.reliability import (
     counters,
     validate_yes_no,
 )
+from repro.runtime.stats import RuntimeStats
 
 _PROMPT = "Do the two entries match? Answer with 'Yes' if they do."
 
@@ -57,7 +58,7 @@ class TestBackoffTiming:
             inner,
             RetryPolicy(base_delay_s=0.1, multiplier=2.0, max_delay_s=5.0,
                         jitter=0.0),
-            clock=clock, count=False,
+            clock=clock,
         )
         response = client.complete(_request())
         assert response.text == "No"
@@ -73,13 +74,13 @@ class TestBackoffTiming:
         clock = FakeClock()
         errors = [TransientLLMError("a"), TransientLLMError("b")]
         client = RetryingClient(ScriptedClient(list(errors)), policy,
-                                clock=clock, count=False)
+                                clock=clock)
         client.complete(_request())
         assert clock.sleeps == expected
 
         replay = FakeClock()
         client = RetryingClient(ScriptedClient(list(errors)), policy,
-                                clock=replay, count=False)
+                                clock=replay)
         client.complete(_request())
         assert replay.sleeps == expected
 
@@ -88,7 +89,7 @@ class TestBackoffTiming:
         inner = ScriptedClient([RateLimitError("throttled", retry_after_s=0.7)])
         client = RetryingClient(
             inner, RetryPolicy(base_delay_s=0.01, max_delay_s=0.05, jitter=0.0),
-            clock=clock, count=False,
+            clock=clock,
         )
         client.complete(_request())
         assert clock.sleeps == [0.7]
@@ -102,7 +103,7 @@ class TestExhaustionAndClassification:
         )
         client = RetryingClient(
             inner, RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0),
-            clock=FakeClock(), count=False,
+            clock=FakeClock(),
         )
         with pytest.raises(RetryExhaustedError) as excinfo:
             client.complete(_request())
@@ -112,8 +113,7 @@ class TestExhaustionAndClassification:
 
     def test_terminal_error_propagates_immediately(self):
         inner = ScriptedClient([BudgetExceededError("budget")])
-        client = RetryingClient(inner, RetryPolicy(), clock=FakeClock(),
-                                count=False)
+        client = RetryingClient(inner, RetryPolicy(), clock=FakeClock())
         with pytest.raises(BudgetExceededError):
             client.complete(_request())
         assert inner.calls == 1
@@ -122,7 +122,6 @@ class TestExhaustionAndClassification:
         inner = ScriptedClient([TransientLLMError("blip")])
         client = RetryingClient(
             inner, RetryPolicy().without_retries(), clock=FakeClock(),
-            count=False,
         )
         with pytest.raises(RetryExhaustedError):
             client.complete(_request())
@@ -134,7 +133,7 @@ class TestValidation:
         inner = ScriptedClient(["%% garbage %%"], answer="Yes")
         client = RetryingClient(
             inner, RetryPolicy(base_delay_s=0.0, jitter=0.0),
-            clock=FakeClock(), validate=validate_yes_no, count=False,
+            clock=FakeClock(), validate=validate_yes_no,
         )
         assert client.complete(_request()).text == "Yes"
         assert inner.calls == 2
@@ -160,7 +159,7 @@ class TestDeadlines:
         client = RetryingClient(
             SlowClient(),
             RetryPolicy(base_delay_s=0.0, jitter=0.0, default_timeout_s=1.5),
-            clock=clock, count=False,
+            clock=clock,
         )
         with pytest.raises(DeadlineExceededError) as excinfo:
             client.complete(_request())
@@ -172,7 +171,7 @@ class TestDeadlines:
         client = RetryingClient(
             inner,
             RetryPolicy(base_delay_s=5.0, jitter=0.0, default_timeout_s=1.0),
-            clock=clock, count=False,
+            clock=clock,
         )
         with pytest.raises(DeadlineExceededError):
             client.complete(_request())
@@ -186,7 +185,7 @@ class TestDeadlines:
         client = RetryingClient(
             inner,
             RetryPolicy(base_delay_s=1.0, jitter=0.0, default_timeout_s=1.0),
-            clock=clock, count=False,
+            clock=clock,
         )
         with pytest.raises(DeadlineExceededError):
             client.complete(_request())
@@ -198,7 +197,7 @@ class TestDeadlines:
         client = RetryingClient(
             ScriptedClient([TransientLLMError("a")]),
             RetryPolicy(base_delay_s=5.0, jitter=0.0, default_timeout_s=1.0),
-            clock=clock, count=False,
+            clock=clock,
         )
         with pytest.raises(DeadlineExceededError):
             client.complete(_request())
@@ -241,14 +240,17 @@ class TestCounters:
         assert delta["request_retries"] == 1
         assert delta["retry_sleep_seconds"] == pytest.approx(0.25)
 
-    def test_count_false_stays_silent(self):
+    def test_merged_counts_render_as_ints(self):
+        """Only ``retry_sleep_seconds`` reaches ``runtime.reliability`` as a float."""
         before = counters.snapshot()
         client = RetryingClient(
             ScriptedClient([TransientLLMError("a")]),
-            RetryPolicy(base_delay_s=0.0, jitter=0.0), clock=FakeClock(),
-            count=False,
+            RetryPolicy(base_delay_s=0.25, jitter=0.0), clock=FakeClock(),
         )
         client.complete(_request())
-        delta = counters.delta_since(before)
-        assert delta["attempts"] == 0
-        assert delta["request_retries"] == 0
+        stats = RuntimeStats()
+        stats.merge_reliability(counters.delta_since(before))
+        block = stats.as_dict()["reliability"]
+        assert repr(block["attempts"]) == "2"
+        assert repr(block["request_retries"]) == "1"
+        assert repr(block["retry_sleep_seconds"]) == "0.25"

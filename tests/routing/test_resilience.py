@@ -91,7 +91,7 @@ class TestBreakerGatesEscalation:
         clock = FakeClock()
         breaker = CircuitBreaker(
             name="expensive", min_requests=1, failure_threshold=1.0,
-            clock=clock, count=False,
+            clock=clock,
         )
         breaker.record_failure(1)
         assert breaker.state == STATE_OPEN
@@ -109,7 +109,7 @@ class TestBreakerGatesEscalation:
         clock = FakeClock()
         breaker = CircuitBreaker(
             name="expensive", min_requests=1, failure_threshold=1.0,
-            clock=clock, count=False,
+            clock=clock,
         )
         breaker.record_failure(1)
         router = _router(_FlakyAuthority(), breaker=breaker, clock=clock)
@@ -123,7 +123,7 @@ class TestBackendFailureDegrades:
         clock = FakeClock()
         breaker = CircuitBreaker(
             name="expensive", min_requests=3, failure_threshold=1.0,
-            clock=clock, count=False,
+            clock=clock,
         )
         router = _router(
             _FlakyAuthority(n_failures=100), breaker=breaker, clock=clock
@@ -139,7 +139,7 @@ class TestBackendFailureDegrades:
         clock = FakeClock()
         breaker = CircuitBreaker(
             name="expensive", min_requests=3, failure_threshold=1.0,
-            clock=clock, count=False,
+            clock=clock,
         )
         authority = _FlakyAuthority(n_failures=100)
         router = _router(authority, breaker=breaker, clock=clock)
@@ -178,7 +178,7 @@ class TestFrozenBackendIsolation:
         clock = FakeClock()
         breaker = CircuitBreaker(
             name="expensive", min_requests=2, failure_threshold=1.0,
-            slow_call_threshold_s=1.0, clock=clock, count=False,
+            slow_call_threshold_s=1.0, clock=clock,
         )
         authority = _FrozenAuthority(clock, stall_s=5.0)
         router = _router(authority, breaker=breaker, clock=clock)
@@ -218,7 +218,7 @@ class TestRecovery:
         clock = FakeClock()
         breaker = CircuitBreaker(
             name="expensive", min_requests=2, failure_threshold=1.0,
-            open_duration_s=10.0, half_open_probes=1, clock=clock, count=False,
+            open_duration_s=10.0, half_open_probes=1, clock=clock,
         )
         authority = _FlakyAuthority(n_failures=2)
         router = _router(authority, breaker=breaker, clock=clock)
@@ -237,7 +237,7 @@ class TestRecovery:
 class TestIntrospection:
     def test_state_includes_breaker_and_resilience_counters(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(name="expensive", clock=clock, count=False)
+        breaker = CircuitBreaker(name="expensive", clock=clock)
         router = _router(_FlakyAuthority(), breaker=breaker, clock=clock)
         state = router.state()
         by_name = {b["name"]: b for b in state["backends"]}

@@ -9,11 +9,12 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TransientLLMError
 from repro.llm.client import EchoClient
 from repro.matchers.base import Matcher
 from repro.matchers.matchgpt import MatchGPTMatcher
 from repro.matchers.string_sim import StringSimMatcher
+from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.clock import FakeClock
 from repro.routing import (
     DriftMonitor,
@@ -62,6 +63,33 @@ def _profile_pairs():
         )
         for i in range(12)
     ]
+
+
+class _FailOnceAuthority(Matcher):
+    """Answers 1 but fails its first call with a library error."""
+
+    name = "authority"
+    display_name = "Authority"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def _predict(self, pairs, serialization_seed):
+        self.calls += 1
+        if self.calls == 1:
+            raise TransientLLMError("authority down")
+        return np.ones(len(pairs), dtype=np.int64)
+
+
+def _prometheus_samples(text: str) -> dict[str, float]:
+    """``{series{labels}: value}`` for every sample line of a render."""
+    samples = {}
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            samples[series] = float(value)
+    return samples
 
 
 def _get(url: str, path: str) -> tuple[int, dict]:
@@ -135,8 +163,7 @@ class TestRoutedService:
         assert metrics["routing"]["counters"]["escalations"] > 0
         assert metrics["routing"]["drift"]["pairs_seen"] == len(TRACE)
         assert metrics["routing"]["drift"]["windows_completed"] == len(TRACE) // 4
-        assert metrics["counters"]["routed"] == len(TRACE)
-        assert metrics["counters"]["spend_usd"] > 0
+        assert metrics["routing"]["counters"]["spend_usd"] > 0
 
     def test_unrouted_metrics_schema_is_stable(self):
         service = MatchService(StringSimMatcher(), clock=FakeClock())
@@ -145,8 +172,8 @@ class TestRoutedService:
             "counters": service.router_state()["router"]["counters"],
             "drift": None,
         }
-        assert metrics["counters"]["routed"] == 0
-        assert metrics["counters"]["escalated"] == 0
+        assert metrics["routing"]["counters"]["requests"] == 0
+        assert metrics["routing"]["counters"]["escalations"] == 0
         backends = service.router_state()["router"]["backends"]
         assert [(b["name"], b["band"]) for b in backends] == [("string_sim", None)]
 
@@ -174,6 +201,57 @@ class TestRoutedService:
         text = service.prometheus_metrics()
         assert "router_requests_total" in text
         assert "router_spend_usd_total" in text
+
+    def test_json_and_prometheus_views_agree(self):
+        """Both renderings of /metrics carry the same value for every count."""
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            name="authority", min_requests=1, failure_threshold=1.0, clock=clock
+        )
+        router = MatchRouter(
+            backends=[
+                RoutedBackend(
+                    name="string_sim", matcher=StringSimMatcher(),
+                    low=0.25, high=0.65,
+                ),
+                RoutedBackend(
+                    name="authority", matcher=_FailOnceAuthority(),
+                    price_per_1k_tokens=0.015, breaker=breaker,
+                ),
+            ],
+            clock=clock,
+        )
+        service = MatchService(StringSimMatcher(), router=router, clock=clock)
+        for left, right in TRACE:
+            service.match_pair(left, right)
+        metrics = service.metrics()
+        samples = _prometheus_samples(service.prometheus_metrics())
+
+        routing = metrics["routing"]["counters"]
+        assert routing["backend_failures"] >= 1
+        assert routing["breaker_open"] >= 1
+        assert routing["spend_usd"] > 0
+        expected = {f"serving_{k}_total": v for k, v in metrics["counters"].items()}
+        expected["serving_latency_measurements_total"] = metrics["latency"]["count"]
+        expected.update(
+            (f"scheduler_{k}_total", v)
+            for k, v in metrics["scheduler"].items()
+            if k != "mean_occupancy"
+        )
+        expected.update((f"router_{k}_total", v) for k, v in routing.items())
+        for name, state in metrics["resilience"]["breakers"].items():
+            expected[f'breaker_opens_total{{backend="{name}"}}'] = (
+                state["counters"]["opens"]
+            )
+        assert expected['breaker_opens_total{backend="authority"}'] == 1
+        assert {series: samples[series] for series in expected} == expected
+        unmatched = [
+            series for series in samples
+            if series.startswith(("serving_", "router_"))
+            and series.endswith("_total")
+            and series not in expected
+        ]
+        assert unmatched == []
 
     def test_routed_replay_is_deterministic(self):
         runs = []

@@ -143,7 +143,6 @@ class TestOverloadPartitioning:
             min_requests=1,
             failure_threshold=1.0,
             open_duration_s=600.0,
-            count=False,
         )
         breaker.record_failure(1)
         assert breaker.state == STATE_OPEN

@@ -73,6 +73,16 @@ class _GatedMatcher(Matcher):
         return np.zeros(len(pairs), dtype=np.int64)
 
 
+class _BrokenMatcher(Matcher):
+    """Raises a programming error, not a library error, on every call."""
+
+    name = "broken"
+    display_name = "Broken"
+
+    def _predict(self, pairs, serialization_seed):
+        raise TypeError("not a ReproError")
+
+
 class TestDeterministicReplay:
     def test_same_trace_same_responses_and_stats(self):
         runs = []
@@ -93,10 +103,9 @@ class TestDeterministicReplay:
         for _ in range(2):
             clock = FakeClock()
             client = RetryingClient(
-                FaultInjector(EchoClient("Yes"), plan, clock=clock, count=False),
+                FaultInjector(EchoClient("Yes"), plan, clock=clock),
                 RetryPolicy(max_attempts=4),
                 clock=clock,
-                count=False,
             )
             matcher = MatchGPTMatcher(client)
             matcher.fit([], None, seed=0)
@@ -202,6 +211,37 @@ class TestAdmissionAndDeadlines:
             assert health["status"] == "degraded"
             assert health["saturated"] is True
             matcher.release.set()
+
+
+class TestMetricsBlock:
+    def test_each_count_appears_once(self):
+        """The service's own counters, and breakers as the only resilience block."""
+        service = MatchService(StringSimMatcher(), clock=FakeClock())
+        _labels, metrics = _run_trace(service)
+        assert list(metrics) == [
+            "counters", "latency", "scheduler", "routing", "resilience",
+        ]
+        assert list(metrics["counters"]) == [
+            "requests", "lookups", "matches", "shed", "timeouts", "errors",
+            "unexpected_errors", "abandoned", "batch_retries",
+        ]
+        assert list(metrics["resilience"]) == ["breakers"]
+
+    def test_unexpected_errors_are_counted_per_service(self):
+        broken = MatchService(_BrokenMatcher(), clock=FakeClock())
+        with pytest.raises(TypeError):
+            broken.match_pair(["a"], ["a"])
+        metrics = broken.metrics()
+        counters = metrics["counters"]
+        assert counters["errors"] == 1
+        assert counters["unexpected_errors"] == 1
+        assert counters["requests"] == (
+            metrics["latency"]["count"] + counters["shed"]
+            + counters["timeouts"] + counters["errors"] + counters["abandoned"]
+        )
+        other = MatchService(StringSimMatcher(), clock=FakeClock())
+        other.match_pair(["a"], ["a"])
+        assert other.metrics()["counters"]["unexpected_errors"] == 0
 
 
 class TestRequestValidation:

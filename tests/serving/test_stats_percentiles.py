@@ -1,21 +1,14 @@
-"""ServingStats latency-summary edge cases and obs-histogram agreement.
+"""ServingStats latency-summary edge cases.
 
 The percentile path has three classic off-by-one traps — a single
 sample, nearest-rank selection near the tail, and degenerate all-equal
-windows — plus two aggregation contracts: the all-time count survives
-window eviction, and absorbing stats into metrics registries then
-merging conserves the measurement count the summaries reported.
+windows — plus one aggregation contract: the all-time count survives
+window eviction.
 """
 
 from __future__ import annotations
 
-from repro.obs.registry import MetricsRegistry
 from repro.serving.service import ServingStats
-
-
-def _series(snapshot: dict, name: str) -> float:
-    [entry] = [e for e in snapshot["counters"] if e["name"] == name]
-    return entry["value"]
 
 
 def test_single_sample_window_collapses_every_percentile_to_it():
@@ -67,28 +60,3 @@ def test_count_is_all_time_while_percentiles_track_the_window():
     summary = stats.latency_summary()
     assert summary["count"] == ServingStats.WINDOW + 1
     assert summary["max_ms"] == 1.0  # the 500 ms outlier left the window
-
-
-def test_absorbed_summaries_agree_with_the_merged_registry():
-    # Two workers' serving stats, absorbed into separate registries and
-    # merged: the merged measurement counter must equal the sum of what
-    # each worker's latency summary reported — summary and histogram
-    # views of the same traffic may never drift apart.
-    workers = []
-    for latencies in ([0.010, 0.020, 0.030], [0.040, 0.050]):
-        stats = ServingStats()
-        stats.bump("requests", len(latencies))
-        for value in latencies:
-            stats.record_latency(value)
-        workers.append(stats)
-
-    merged = MetricsRegistry()
-    for stats in workers:
-        merged.merge(MetricsRegistry().absorb_serving_stats(stats).snapshot())
-
-    snapshot = merged.snapshot()
-    expected = sum(s.latency_summary()["count"] for s in workers)
-    assert _series(snapshot, "serving_latency_measurements_total") == expected == 5
-    assert _series(snapshot, "serving_requests_total") == sum(
-        s.counters["requests"] for s in workers
-    )
