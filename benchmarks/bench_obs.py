@@ -36,7 +36,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from repro.config import StudyConfig, SurrogateScale
 from repro.obs.trace import Tracer, install_tracer, span, uninstall_tracer
 from repro.reliability import RetryPolicy
-from repro.reliability.wiring import activate_policy, deactivate_policy
 from repro.runtime import grid
 from repro.runtime.executor import make_executor
 from repro.study import table3
@@ -59,7 +58,13 @@ OVERHEAD_BUDGET = 0.05
 
 
 def _bench_config(smoke: bool) -> StudyConfig:
-    """The bench_runtime grid configuration (kept identical for comparability)."""
+    """The bench_runtime grid configuration (kept identical for comparability).
+
+    The retry layer is on in BOTH modes so the workload carries a span
+    site on every single LLM request (the hottest instrumented path) —
+    without it, only the handful of per-cell spans would be exercised
+    and the measurement would say nothing.
+    """
     return StudyConfig(
         name="bench-obs",
         seeds=(0, 1),
@@ -70,6 +75,7 @@ def _bench_config(smoke: bool) -> StudyConfig:
         surrogate=SurrogateScale(
             d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=32, vocab_size=1024
         ),
+        retry_policy=RetryPolicy(max_attempts=2),
     )
 
 
@@ -165,17 +171,10 @@ def run_bench(smoke: bool = False, out_path: Path = _OUT_PATH) -> dict:
     grid.dataset_bundle(config.dataset_scale, 7)
 
     repeats = 2 if smoke else 4
-    # The retry layer is active in BOTH modes so the workload carries a
-    # span site on every single LLM request (the hottest instrumented
-    # path) — without it, only the handful of per-cell spans would be
-    # exercised and the measurement would say nothing.  Traces land in a
-    # temp dir: they are multi-megabyte transients, not tracked results.
-    activate_policy(RetryPolicy(max_attempts=2))
-    try:
-        with tempfile.TemporaryDirectory(prefix="bench_obs_") as scratch:
-            untraced, traced = _run_modes(config, Path(scratch), repeats)
-    finally:
-        deactivate_policy()
+    # Traces land in a temp dir: they are multi-megabyte transients, not
+    # tracked results.
+    with tempfile.TemporaryDirectory(prefix="bench_obs_") as scratch:
+        untraced, traced = _run_modes(config, Path(scratch), repeats)
     assert traced["tables"] == untraced["tables"], (
         "tracing changed study results"
     )

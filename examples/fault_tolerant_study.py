@@ -26,9 +26,9 @@ from repro.reliability import (
     FaultPlan,
     RetryPolicy,
     RetryingClient,
+    Tally,
     validate_yes_no,
 )
-from repro.reliability import counters
 
 
 def main() -> None:
@@ -51,15 +51,17 @@ def main() -> None:
     plan = FaultPlan(transient_rate=0.2, rate_limit_rate=0.05,
                      malformed_rate=0.05, seed=7)
     policy = RetryPolicy()  # 4 attempts, exp. backoff, seeded jitter
+    #    Both wrappers count into one local tally.
     backend = SimulatedLLM(get_llm_profile("gpt-4o-mini"), world, seed=0)
+    tally = Tally()
     hardened = RetryingClient(
-        FaultInjector(backend, plan), policy, validate=validate_yes_no
+        FaultInjector(backend, plan, tally=tally), policy,
+        validate=validate_yes_no, tally=tally,
     )
 
-    before = counters.snapshot()
     matcher = MatchGPTMatcher(hardened).fit([], profile)
     faulted = matcher.predict(dataset.pairs, serialization_seed=0)
-    delta = counters.delta_since(before)
+    delta = tally.snapshot()
 
     p, r, f1 = precision_recall_f1(labels, faulted)
     print(f"faulted run    P {p:5.1f}  R {r:5.1f}  F1 {f1:5.1f}")

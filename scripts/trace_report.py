@@ -2,8 +2,8 @@
 """Summarize a span trace into per-stage timing and retry attribution.
 
 Reads the self-checksummed JSONL trace written by
-:class:`repro.obs.trace.Tracer` (``full_run --trace PATH`` or
-``REPRO_TRACE=PATH``) and reports, per span name:
+:class:`repro.obs.trace.Tracer` (``full_run --trace PATH``, or
+``run_study``'s ``trace_path=``) and reports, per span name:
 
 * how many spans ran and how many ended in an error,
 * total, p50, p95 and max wall-clock seconds,

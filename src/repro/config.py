@@ -17,6 +17,14 @@ identical.  Three named profiles are provided:
 ``full``
     The closest feasible approximation of the paper's scale; documented for
     long offline runs.
+
+Beside the science knobs, a :class:`StudyConfig` carries the study's
+three runtime settings — ``fail_fast``, ``retry_policy`` and
+``fault_plan``.  ``full_run``'s ``--fail-fast``, ``--retries`` and
+``--faults`` (``run_study``'s arguments) set them with
+:func:`dataclasses.replace`, and every grid cell carries its config to
+whichever process runs it.  They decide whether a cell's requests are
+retried, faulted or fatal, never the values a finished cell reports.
 """
 
 from __future__ import annotations
@@ -24,8 +32,13 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from .reliability.faults import FaultPlan
+    from .reliability.policy import RetryPolicy
 
 #: Random seeds used for the paper's five repetitions (Section 2.2).
 PAPER_SEEDS: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -79,20 +92,15 @@ class StudyConfig:
     #: Scale factor applied to every dataset's generated pair counts
     #: (1.0 reproduces the Table-1 sizes exactly).
     dataset_scale: float = 1.0
-    #: Worker-pool size for the study grid (overridable by the
-    #: ``REPRO_WORKERS`` environment variable; see :mod:`repro.runtime`).
-    workers: int = 1
-    #: Executor backend: ``auto`` | ``serial`` | ``thread`` | ``process``
-    #: (``auto`` picks ``thread`` when ``workers > 1``).
-    executor_backend: str = "auto"
-    #: Whole-cell re-run budget after a retryable failure (on top of the
-    #: per-request retries the active :class:`repro.reliability.RetryPolicy`
-    #: performs; overridable by ``REPRO_CELL_RETRIES``).
-    cell_retries: int = 1
     #: Abort the study on the first failed grid cell instead of recording
-    #: a :class:`repro.runtime.grid.CellFailure` (overridable by
-    #: ``REPRO_FAIL_FAST`` and ``--fail-fast``).
+    #: a :class:`repro.runtime.grid.CellFailure` (``--fail-fast``).
     fail_fast: bool = False
+    #: The per-request retry policy every LLM client of a grid cell runs
+    #: under (``--retries``); ``None`` leaves requests un-retried.
+    retry_policy: RetryPolicy | None = None
+    #: The seeded faults injected beneath the retry layer (``--faults``);
+    #: ``None`` injects none.
+    fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         """Validate every knob combination (see individual messages)."""
@@ -108,32 +116,10 @@ class StudyConfig:
             raise ConfigurationError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if self.executor_backend not in ("auto", "serial", "thread", "process"):
-            raise ConfigurationError(
-                f"unknown executor_backend {self.executor_backend!r}"
-            )
-        if self.cell_retries < 0:
-            raise ConfigurationError("cell_retries must be >= 0")
 
     def with_seeds(self, seeds: tuple[int, ...]) -> "StudyConfig":
         """Return a copy of this config with a different seed set."""
         return replace(self, seeds=seeds)
-
-    def with_workers(self, workers: int, backend: str = "auto") -> "StudyConfig":
-        """Return a copy of this config with a worker-pool setting."""
-        return replace(self, workers=workers, executor_backend=backend)
-
-    def with_reliability(
-        self, cell_retries: int | None = None, fail_fast: bool | None = None
-    ) -> "StudyConfig":
-        """Return a copy with different cell-failure handling knobs."""
-        return replace(
-            self,
-            cell_retries=self.cell_retries if cell_retries is None else cell_retries,
-            fail_fast=self.fail_fast if fail_fast is None else fail_fast,
-        )
 
 
 #: Named scale profiles (see module docstring).

@@ -18,7 +18,7 @@ of them has — *which stage of which request spent the time*:
   A tracer feeds it one ``span_seconds`` histogram and one
   ``spans_total`` counter per span name, and it renders the Prometheus
   text served on ``GET /metrics``.
-* :mod:`repro.obs.wiring` — activation (``REPRO_TRACE`` / ``--trace``)
+* :mod:`repro.obs.wiring` — activation (``--trace`` / ``trace_path=``)
   and the :class:`ObservabilitySession` lifecycle that produces the
   ``observability`` block of ``full_study.json``.
 
@@ -37,11 +37,7 @@ from .trace import (
     span,
     uninstall_tracer,
 )
-from .wiring import (
-    TRACE_ENV,
-    ObservabilitySession,
-    activate_observability,
-)
+from .wiring import ObservabilitySession, activate_observability
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -52,7 +48,6 @@ __all__ = [
     "install_tracer",
     "span",
     "uninstall_tracer",
-    "TRACE_ENV",
     "ObservabilitySession",
     "activate_observability",
 ]

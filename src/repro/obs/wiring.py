@@ -4,13 +4,9 @@ Observability is **off by default** — no tracer installed, every
 :func:`~repro.obs.trace.span` call returning the shared no-op — and that
 default is load-bearing: with it, study outputs are byte-identical to a
 build without this layer.  This module is the one place the layer turns
-on, mirroring the cache/retry/fault wiring conventions of
-:mod:`repro.reliability.wiring`:
-
-``REPRO_TRACE``
-    Path of the trace JSONL file to write.  Setting it (or passing
-    ``--trace`` / ``trace_path=`` explicitly, which wins over the env)
-    enables span recording for the run.
+on, and it has one switch: ``full_run --trace PATH`` (``run_study``'s
+``trace_path=``) names the trace JSONL file and enables span recording
+for the run.
 
 :class:`ObservabilitySession` bundles one run's tracer and the registry
 its spans feed, with an explicit lifecycle: ``install()`` makes the
@@ -22,24 +18,10 @@ and restores the no-op default.
 
 from __future__ import annotations
 
-import os
-
 from .registry import MetricsRegistry
 from .trace import Tracer, install_tracer, uninstall_tracer
 
-__all__ = [
-    "TRACE_ENV",
-    "ObservabilitySession",
-    "activate_observability",
-]
-
-#: Environment variable naming the trace JSONL path (enables tracing).
-TRACE_ENV = "REPRO_TRACE"
-
-
-def _env_trace_path() -> str | None:
-    value = os.environ.get(TRACE_ENV, "").strip()
-    return value or None
+__all__ = ["ObservabilitySession", "activate_observability"]
 
 
 class ObservabilitySession:
@@ -97,14 +79,11 @@ class ObservabilitySession:
 def activate_observability(
     trace_path: str | None = None, clock=None
 ) -> ObservabilitySession | None:
-    """Build + install a session if tracing is requested, else ``None``.
+    """Build + install a session tracing to ``trace_path``, else ``None``.
 
-    Resolution order mirrors the cache/retry wiring: an explicit
-    ``trace_path`` wins; otherwise :data:`TRACE_ENV` names the trace
-    file.  When neither applies, nothing is installed and every
-    instrumented call site stays on the no-op fast path.
+    Without a path nothing is installed and every instrumented call site
+    stays on the no-op fast path.
     """
-    path = trace_path if trace_path is not None else _env_trace_path()
-    if path is None:
+    if trace_path is None:
         return None
-    return ObservabilitySession(path, clock=clock).install()
+    return ObservabilitySession(trace_path, clock=clock).install()

@@ -26,12 +26,16 @@ hosted models:
     :class:`DeadlineBudget` — the one request-scoped time limit, carved
     across queueing, retries and router hops via ``remaining()``.
 :mod:`repro.reliability.wiring`
-    Process-wide activation (``REPRO_RETRY`` / ``REPRO_FAULTS`` env
-    specs) and :func:`harden_client`, the one composition point the
-    study factories funnel every client through.
+    :func:`harden_client`, the one composition point a study grid cell
+    funnels every client through, with the policy and plan its
+    :class:`~repro.config.StudyConfig` carries.
 :mod:`repro.reliability.counters`
-    Process-global retry/fault counters, aggregated into the ``runtime``
-    block of ``full_study.json``.
+    :class:`Tally`, the per-cell retry/fault counts summed into the
+    ``runtime`` block of ``full_study.json``.
+
+A study's settings have one source each: the ``full_run`` flag or
+``run_study`` argument, carried on the grid cell's ``StudyConfig``;
+its counts are tallied per cell.
 
 Failure semantics — what is retried, how long backoff waits, how the
 completion cache interacts with retries, and the ``CellFailure`` schema
@@ -43,19 +47,11 @@ from __future__ import annotations
 from .breaker import CircuitBreaker
 from .budget import DeadlineBudget
 from .clock import Clock, FakeClock, SystemClock
+from .counters import Tally
 from .faults import FaultInjector, FaultPlan
 from .policy import DEFAULT_POLICY, RetryPolicy, is_retryable
 from .retry import RetryingClient, validate_yes_no
-from .wiring import (
-    activate_faults,
-    activate_policy,
-    active_faults,
-    active_policy,
-    deactivate_faults,
-    deactivate_policy,
-    harden_client,
-    reliability_enabled,
-)
+from .wiring import harden_client
 
 __all__ = [
     "CircuitBreaker",
@@ -68,14 +64,8 @@ __all__ = [
     "RetryPolicy",
     "RetryingClient",
     "SystemClock",
-    "activate_faults",
-    "activate_policy",
-    "active_faults",
-    "active_policy",
-    "deactivate_faults",
-    "deactivate_policy",
+    "Tally",
     "harden_client",
     "is_retryable",
-    "reliability_enabled",
     "validate_yes_no",
 ]

@@ -1,35 +1,33 @@
-"""Process-wide retry and fault-injection counters.
+"""Per-scope retry and fault-injection counts.
 
 The retry and fault-injection layers record what happened to every
 request — attempts, retries, backoff seconds slept, faults injected by
-kind — into one process-global counter table, mirroring how the
-completion cache exposes hit/miss totals.  Grid workers snapshot the
-table before a cell and report the delta afterwards, so a parent process
-can aggregate activity that happened inside pool workers it cannot
-observe directly (see :meth:`repro.runtime.stats.RuntimeStats.merge_reliability`).
+kind — into a :class:`Tally`.  Every :class:`~repro.reliability.retry.RetryingClient`
+and :class:`~repro.reliability.faults.FaultInjector` counts into the
+tally it is given, or into a fresh one of its own.  A study grid cell
+hands one tally to its whole client stack and ships its counts back on
+the cell's result, so a parent process sums per-cell counts it could
+not observe directly (see
+:meth:`repro.runtime.stats.RuntimeStats.merge_reliability`), and
+concurrent cells never count each other's requests.
 
-The table holds only what a grid cell ships back from a pool worker.
 Counts the serving stack produces live with the object that produces
 them: a breaker's in its own ``counters``, a router's in
 :attr:`MatchRouter.counters <repro.routing.policy.MatchRouter.counters>`,
 a service's in its :class:`~repro.serving.service.ServingStats`.
 
-Counts are ints; only ``retry_sleep_seconds`` is fractional.  Updates
-take a lock: thread-pool cells mutate the table concurrently.
+Counts are ints; only ``retry_sleep_seconds`` is fractional, and it is
+kept unrounded (the ``runtime`` block rounds at render).  Updates take a
+lock: the clients of one tally may run on several threads.
 """
 
 from __future__ import annotations
 
 import threading
 
-__all__ = [
-    "COUNTER_KEYS",
-    "record",
-    "snapshot",
-    "delta_since",
-]
+__all__ = ["COUNTER_KEYS", "Tally"]
 
-#: Every key the table tracks, in reporting order.
+#: Every key a tally tracks, in reporting order.
 COUNTER_KEYS: tuple[str, ...] = (
     "attempts",
     "request_retries",
@@ -41,27 +39,21 @@ COUNTER_KEYS: tuple[str, ...] = (
     "malformed_completions",
 )
 
-_LOCK = threading.Lock()
-_COUNTERS: dict[str, float] = {key: 0 for key in COUNTER_KEYS}
 
+class Tally:
+    """A locked table of the :data:`COUNTER_KEYS` counts for one scope."""
 
-def record(key: str, amount: float = 1) -> None:
-    """Add ``amount`` to one counter (unknown keys are ignored)."""
-    with _LOCK:
-        if key in _COUNTERS:
-            _COUNTERS[key] += amount
+    def __init__(self) -> None:
+        """Every count starts at zero."""
+        self._lock = threading.Lock()
+        self._counts: dict[str, float] = {key: 0 for key in COUNTER_KEYS}
 
+    def record(self, key: str, amount: float = 1) -> None:
+        """Add ``amount`` to one count (``key`` must be a counter key)."""
+        with self._lock:
+            self._counts[key] += amount
 
-def snapshot() -> dict[str, float]:
-    """A point-in-time copy of every counter."""
-    with _LOCK:
-        return dict(_COUNTERS)
-
-
-def delta_since(previous: dict[str, float]) -> dict[str, float]:
-    """Counter movement since a :func:`snapshot` (rounded for JSON)."""
-    current = snapshot()
-    return {
-        key: round(current[key] - previous.get(key, 0), 6)
-        for key in COUNTER_KEYS
-    }
+    def snapshot(self) -> dict[str, float]:
+        """A point-in-time copy of every count."""
+        with self._lock:
+            return dict(self._counts)

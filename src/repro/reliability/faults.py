@@ -28,6 +28,11 @@ per injector instance*.  Two consequences follow:
    through.  Any retry policy with ``max_attempts > max_consecutive``
    therefore always converges to the clean response, which is what makes
    the "20% faults, identical tables" acceptance property provable.
+
+A study's plan has one source: ``full_run --faults SPEC`` (or
+``run_study(faults=SPEC)``) sets ``StudyConfig.fault_plan`` to
+:meth:`FaultPlan.parse` of the spec, and every grid cell carries that
+config to whichever process runs it.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from typing import Callable
 
 from ..errors import ConfigurationError, RateLimitError, TransientLLMError
 from ..llm.client import LLMClient, LLMRequest, LLMResponse
-from . import counters
 from .clock import Clock, SystemClock
+from .counters import Tally
 
 __all__ = [
     "FaultPlan",
@@ -75,8 +80,8 @@ class FaultPlan:
     """Rates and shapes of the injected failure modes.
 
     Rates are per-attempt probabilities and must sum to at most 1; the
-    remaining mass is a clean pass-through.  ``parse``/``to_spec`` round
-    trip the ``REPRO_FAULTS`` environment spec, e.g.
+    remaining mass is a clean pass-through.  :meth:`parse` reads the
+    ``--faults`` spec, e.g.
     ``"transient=0.2,rate_limit=0.05,latency=0.1,malformed=0.05,seed=3"``.
     """
 
@@ -135,11 +140,9 @@ class FaultPlan:
         """Whether this plan injects anything at all."""
         return self.error_rate > 0 or self.latency_rate > 0 or self.crash_at > 0
 
-    # -- env-spec round trip --------------------------------------------------
-
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
-        """Build a plan from a ``key=value`` spec string (``REPRO_FAULTS``)."""
+        """Build a plan from a ``key=value`` spec string (``--faults``)."""
         kwargs: dict[str, object] = {}
         fields = {
             "transient": ("transient_rate", float),
@@ -176,16 +179,6 @@ class FaultPlan:
         if "torn_write" in kwargs:
             kwargs["torn_write"] = bool(kwargs["torn_write"])
         return cls(**kwargs)  # type: ignore[arg-type]
-
-    def to_spec(self) -> str:
-        """The ``key=value`` spec that :meth:`parse` round-trips."""
-        return (
-            f"transient={self.transient_rate},rate_limit={self.rate_limit_rate},"
-            f"latency={self.latency_rate},malformed={self.malformed_rate},"
-            f"latency_s={self.latency_s},retry_after_s={self.retry_after_s},"
-            f"seed={self.seed},max_consecutive={self.max_consecutive},"
-            f"crash_at={self.crash_at},torn_write={int(self.torn_write)}"
-        )
 
 
 # -- crash-point faults ------------------------------------------------------
@@ -262,11 +255,17 @@ class FaultInjector(LLMClient):
         inner: LLMClient,
         plan: FaultPlan,
         clock: Clock | None = None,
+        tally: Tally | None = None,
     ) -> None:
-        """Wrap ``inner`` under ``plan``, sleeping on ``clock``."""
+        """Wrap ``inner`` under ``plan``, sleeping on ``clock``.
+
+        Injected faults are counted into ``tally`` (default: a fresh
+        :class:`Tally`).
+        """
         self.inner = inner
         self.plan = plan
         self.clock = clock or SystemClock()
+        self.tally = tally if tally is not None else Tally()
         self.model_name = inner.model_name
         self.cache_salt = getattr(inner, "cache_salt", "")
         self._attempts: dict[str, int] = {}
@@ -299,18 +298,19 @@ class FaultInjector(LLMClient):
 
         draw = _unit_float(self.plan.seed, key, attempt)
         plan = self.plan
+        tally = self.tally
         if draw < plan.transient_rate:
             self._consecutive[key] = self._consecutive.get(key, 0) + 1
-            counters.record("faults_injected")
-            counters.record("transient_faults")
+            tally.record("faults_injected")
+            tally.record("transient_faults")
             raise TransientLLMError(
                 f"injected transient failure (attempt {attempt})"
             )
         draw -= plan.transient_rate
         if draw < plan.rate_limit_rate:
             self._consecutive[key] = self._consecutive.get(key, 0) + 1
-            counters.record("faults_injected")
-            counters.record("rate_limit_faults")
+            tally.record("faults_injected")
+            tally.record("rate_limit_faults")
             raise RateLimitError(
                 f"injected rate limit (attempt {attempt})",
                 retry_after_s=plan.retry_after_s,
@@ -318,8 +318,8 @@ class FaultInjector(LLMClient):
         draw -= plan.rate_limit_rate
         if draw < plan.malformed_rate:
             self._consecutive[key] = self._consecutive.get(key, 0) + 1
-            counters.record("faults_injected")
-            counters.record("malformed_completions")
+            tally.record("faults_injected")
+            tally.record("malformed_completions")
             response = self.inner.complete(request)
             return self._finish(
                 LLMResponse(
@@ -333,8 +333,8 @@ class FaultInjector(LLMClient):
         if draw < plan.latency_rate:
             # Latency is not an error: the attempt still succeeds, so the
             # consecutive-error run for this key ends here.
-            counters.record("faults_injected")
-            counters.record("latency_spikes")
+            tally.record("faults_injected")
+            tally.record("latency_spikes")
             self._consecutive[key] = 0
             self.clock.sleep(plan.latency_s)
             return self._finish(self.inner.complete(request))

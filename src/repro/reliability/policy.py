@@ -16,6 +16,11 @@ A :class:`RetryPolicy` answers three questions for the retry layer:
    final failure is raised as
    :class:`~repro.errors.RetryExhaustedError` chaining the last error.
 
+A study's policy has one source: ``full_run --retries N`` (or
+``run_study(retries=N)``) sets ``StudyConfig.retry_policy`` to
+``RetryPolicy(max_attempts=N + 1)``, and every grid cell carries that
+config to whichever process runs it.
+
 The full derivation (including the rate-limit ``retry_after_s`` floor
 and the cache interaction) is documented in ``docs/FAILURE_SEMANTICS.md``.
 """
@@ -134,63 +139,6 @@ class RetryPolicy:
     def without_retries(self) -> "RetryPolicy":
         """A copy of this policy with retries disabled (one attempt)."""
         return replace(self, max_attempts=1)
-
-    # -- env-spec round trip --------------------------------------------------
-
-    @classmethod
-    def parse(cls, spec: str) -> "RetryPolicy":
-        """Build a policy from a ``key=value`` spec string.
-
-        The format used by the ``REPRO_RETRY`` environment variable and
-        the ``--retries`` plumbing, e.g.
-        ``"attempts=4,base=0.05,cap=2.0,multiplier=2,jitter=0.5,seed=0"``.
-        ``timeout=<s>`` sets :attr:`default_timeout_s`.
-        """
-        kwargs: dict[str, object] = {}
-        fields = {
-            "attempts": ("max_attempts", int),
-            "base": ("base_delay_s", float),
-            "cap": ("max_delay_s", float),
-            "multiplier": ("multiplier", float),
-            "jitter": ("jitter", float),
-            "seed": ("seed", int),
-            "timeout": ("default_timeout_s", float),
-        }
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ConfigurationError(f"bad retry spec fragment {part!r}")
-            name, _, value = part.partition("=")
-            try:
-                field_name, cast = fields[name.strip()]
-            except KeyError:
-                known = ", ".join(sorted(fields))
-                raise ConfigurationError(
-                    f"unknown retry spec key {name!r}; choose from: {known}"
-                ) from None
-            try:
-                kwargs[field_name] = cast(value.strip())
-            except ValueError:
-                raise ConfigurationError(
-                    f"retry spec {name}={value!r} is not a {cast.__name__}"
-                ) from None
-        return cls(**kwargs)  # type: ignore[arg-type]
-
-    def to_spec(self) -> str:
-        """The ``key=value`` spec that :meth:`parse` round-trips."""
-        parts = [
-            f"attempts={self.max_attempts}",
-            f"base={self.base_delay_s}",
-            f"cap={self.max_delay_s}",
-            f"multiplier={self.multiplier}",
-            f"jitter={self.jitter}",
-            f"seed={self.seed}",
-        ]
-        if self.default_timeout_s is not None:
-            parts.append(f"timeout={self.default_timeout_s}")
-        return ",".join(parts)
 
 
 #: The policy a study runs under when reliability is enabled without an

@@ -35,9 +35,9 @@ from collections.abc import Callable
 from ..errors import DeadlineExceededError, LLMError, RetryExhaustedError
 from ..llm.client import LLMClient, LLMRequest, LLMResponse
 from ..obs.trace import span
-from . import counters
 from .budget import DeadlineBudget
 from .clock import Clock, SystemClock
+from .counters import Tally
 from .policy import RetryPolicy
 
 __all__ = ["RetryingClient", "validate_yes_no"]
@@ -69,17 +69,20 @@ class RetryingClient(LLMClient):
         policy: RetryPolicy | None = None,
         clock: Clock | None = None,
         validate: Callable[[LLMResponse], None] | None = None,
+        tally: Tally | None = None,
     ) -> None:
         """Wrap ``inner`` under ``policy`` (default
         :data:`~repro.reliability.policy.DEFAULT_POLICY` semantics).
 
         ``validate`` may raise :class:`~repro.errors.MalformedCompletionError`
-        to force a resample.
+        to force a resample.  Attempts, retries and backoff seconds are
+        counted into ``tally`` (default: a fresh :class:`Tally`).
         """
         self.inner = inner
         self.policy = policy or RetryPolicy()
         self.clock = clock or SystemClock()
         self.validate = validate
+        self.tally = tally if tally is not None else Tally()
         self.model_name = inner.model_name
         self.cache_salt = getattr(inner, "cache_salt", "")
 
@@ -93,6 +96,7 @@ class RetryingClient(LLMClient):
         it is terminal.
         """
         policy = self.policy
+        tally = self.tally
         timeout = policy.default_timeout_s
         budget = None if timeout is None else DeadlineBudget(timeout, self.clock)
         last_error: LLMError | None = None
@@ -108,10 +112,10 @@ class RetryingClient(LLMClient):
                     response = self.inner.complete(request)
                     if self.validate is not None:
                         self.validate(response)
-                    counters.record("attempts")
+                    tally.record("attempts")
                     return response
                 except LLMError as error:
-                    counters.record("attempts")
+                    tally.record("attempts")
                     last_error = error
                     if not policy.retryable(error):
                         raise
@@ -123,9 +127,9 @@ class RetryingClient(LLMClient):
                             f"deadline of {timeout}s cannot fit a {delay:.3f}s "
                             f"backoff after attempt {attempt}"
                         ) from error
-                    counters.record("request_retries")
+                    tally.record("request_retries")
                     if delay > 0:
-                        counters.record("retry_sleep_seconds", delay)
+                        tally.record("retry_sleep_seconds", delay)
                         self.clock.sleep(delay)
 
             raise RetryExhaustedError(

@@ -1,28 +1,13 @@
-"""Process-wide reliability activation and client hardening.
+"""Client hardening: the one composition point for the reliability stack.
 
-Mirrors the completion cache's activation pattern
-(:mod:`repro.runtime.cache`): a retry policy and/or a fault plan can be
-installed programmatically with :func:`activate_policy` /
-:func:`activate_faults`, or implicitly through environment variables —
-which is how forked process-pool workers pick the configuration up
-without explicit plumbing:
-
-``REPRO_RETRY``
-    A :meth:`repro.reliability.policy.RetryPolicy.parse` spec, e.g.
-    ``attempts=4,base=0.05``.  ``attempts=1`` disables retries while
-    keeping response validation on.
-``REPRO_FAULTS``
-    A :meth:`repro.reliability.faults.FaultPlan.parse` spec, e.g.
-    ``transient=0.2,seed=3``.
-``REPRO_FAIL_FAST``
-    Truthy values make :func:`repro.runtime.grid.run_cells` abort on the
-    first failed cell instead of recording a ``CellFailure``.
-``REPRO_CELL_RETRIES``
-    Whole-cell re-run budget after retryable failures (default 1).
-
-The study factories funnel every LLM client through
-:func:`harden_client`, which composes the wrappers in the one order that
-preserves both parity and cache semantics::
+A study grid cell funnels every LLM client it builds through
+:func:`harden_client`, passing the retry policy and fault plan its
+:class:`~repro.config.StudyConfig` carries and the cell's
+:class:`~repro.reliability.counters.Tally`; the cell then wraps the
+result in its completion cache.  Nothing here reads a global or the
+environment, so a pool worker gets its settings with the pickled cell.
+The wrappers compose in the one order that preserves both parity and
+cache semantics::
 
     CachedClient( RetryingClient( FaultInjector( SimulatedLLM ) ) )
 
@@ -33,174 +18,39 @@ skip the whole stack and only validated responses are ever stored).
 
 from __future__ import annotations
 
-import os
-
 from ..llm.client import LLMClient
-from .clock import Clock
-from .faults import FaultPlan
+from .counters import Tally
+from .faults import FaultInjector, FaultPlan
 from .policy import RetryPolicy
 from .retry import RetryingClient, validate_yes_no
 
-__all__ = [
-    "RETRY_ENV",
-    "FAULTS_ENV",
-    "FAIL_FAST_ENV",
-    "CELL_RETRIES_ENV",
-    "activate_policy",
-    "deactivate_policy",
-    "active_policy",
-    "activate_faults",
-    "deactivate_faults",
-    "active_faults",
-    "policy_from_env",
-    "faults_from_env",
-    "fail_fast_from_env",
-    "cell_retries_from_env",
-    "reliability_enabled",
-    "harden_client",
-]
-
-#: Environment variable carrying a retry-policy spec.
-RETRY_ENV = "REPRO_RETRY"
-#: Environment variable carrying a fault-plan spec.
-FAULTS_ENV = "REPRO_FAULTS"
-#: Environment variable switching fail-fast cell handling on.
-FAIL_FAST_ENV = "REPRO_FAIL_FAST"
-#: Environment variable setting the whole-cell retry budget.
-CELL_RETRIES_ENV = "REPRO_CELL_RETRIES"
-
-_TRUTHY = {"1", "true", "on", "yes"}
-
-_active_policy: RetryPolicy | None = None
-_active_faults: FaultPlan | None = None
+__all__ = ["harden_client"]
 
 
-def activate_policy(policy: RetryPolicy) -> RetryPolicy:
-    """Install ``policy`` as this process's active retry policy."""
-    global _active_policy
-    _active_policy = policy
-    return policy
-
-
-def deactivate_policy() -> None:
-    """Remove the active retry policy (requests run un-retried again)."""
-    global _active_policy
-    _active_policy = None
-
-
-def active_policy() -> RetryPolicy | None:
-    """The currently installed retry policy, if any."""
-    return _active_policy
-
-
-def activate_faults(plan: FaultPlan) -> FaultPlan:
-    """Install ``plan`` as this process's active fault plan."""
-    global _active_faults
-    _active_faults = plan
-    return plan
-
-
-def deactivate_faults() -> None:
-    """Remove the active fault plan (clients run fault-free again)."""
-    global _active_faults
-    _active_faults = None
-
-
-def active_faults() -> FaultPlan | None:
-    """The currently installed fault plan, if any."""
-    return _active_faults
-
-
-def policy_from_env() -> RetryPolicy | None:
-    """The retry policy requested by ``REPRO_RETRY``, if set."""
-    spec = os.environ.get(RETRY_ENV, "").strip()
-    return RetryPolicy.parse(spec) if spec else None
-
-
-def faults_from_env() -> FaultPlan | None:
-    """The fault plan requested by ``REPRO_FAULTS``, if set."""
-    spec = os.environ.get(FAULTS_ENV, "").strip()
-    return FaultPlan.parse(spec) if spec else None
-
-
-def fail_fast_from_env() -> bool | None:
-    """The ``REPRO_FAIL_FAST`` switch, or ``None`` when unset."""
-    raw = os.environ.get(FAIL_FAST_ENV, "").strip().lower()
-    if not raw:
-        return None
-    return raw in _TRUTHY
-
-
-def cell_retries_from_env() -> int | None:
-    """The ``REPRO_CELL_RETRIES`` budget, or ``None`` when unset."""
-    raw = os.environ.get(CELL_RETRIES_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        from ..errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"{CELL_RETRIES_ENV}={raw!r} is not an integer"
-        ) from None
-    if value < 0:
-        from ..errors import ConfigurationError
-
-        raise ConfigurationError(f"{CELL_RETRIES_ENV} must be >= 0, got {value}")
-    return value
-
-
-def _resolve(self_install: bool = True) -> tuple[RetryPolicy | None, FaultPlan | None]:
-    """The effective (policy, plan): active installs win over env specs.
-
-    Env-resolved values are installed for the process (when
-    ``self_install``) so repeated factory calls — and forked workers —
-    parse the spec once, the way the cache honours ``REPRO_CACHE`` lazily.
-    """
-    policy = _active_policy
-    if policy is None:
-        policy = policy_from_env()
-        if policy is not None and self_install:
-            activate_policy(policy)
-    plan = _active_faults
-    if plan is None:
-        plan = faults_from_env()
-        if plan is not None and self_install:
-            activate_faults(plan)
-    return policy, plan
-
-
-def reliability_enabled() -> bool:
-    """Whether any retry policy or fault plan is active (or env-requested)."""
-    policy, plan = _resolve(self_install=False)
-    return policy is not None or plan is not None
-
-
-def harden_client(client: LLMClient, clock: Clock | None = None) -> LLMClient:
+def harden_client(
+    client: LLMClient,
+    policy: RetryPolicy | None = None,
+    plan: FaultPlan | None = None,
+    tally: Tally | None = None,
+) -> LLMClient:
     """Compose the reliability stack around ``client``.
 
-    Identity when nothing is active: default study behaviour (and every
-    pre-reliability test) is unchanged.  When a fault plan is active the
-    client is wrapped in a :class:`~repro.reliability.faults.FaultInjector`;
-    when a policy *or* plan is active the result is wrapped in a
+    Identity when neither ``policy`` nor a fault-injecting ``plan`` is
+    given: default study behaviour is unchanged.  A plan that injects
+    anything wraps the client in a
+    :class:`~repro.reliability.faults.FaultInjector`; a policy *or* such
+    a plan wraps the result in a
     :class:`~repro.reliability.retry.RetryingClient` carrying the yes/no
-    response validator (a fault plan without an explicit policy gets the
-    default policy, whose ``max_attempts`` out-budgets the injector's
-    ``max_consecutive`` cap).
+    response validator (a plan without a policy gets the default policy,
+    whose ``max_attempts`` out-budgets the injector's
+    ``max_consecutive`` cap).  Both wrappers count into ``tally``.
     """
-    policy, plan = _resolve()
     if plan is not None and plan.any_faults:
-        from .faults import FaultInjector
-
-        client = FaultInjector(client, plan, clock=clock)
+        client = FaultInjector(client, plan, tally=tally)
     else:
         plan = None
     if policy is None and plan is None:
         return client
     return RetryingClient(
-        client,
-        policy or RetryPolicy(),
-        clock=clock,
-        validate=validate_yes_no,
+        client, policy or RetryPolicy(), validate=validate_yes_no, tally=tally
     )

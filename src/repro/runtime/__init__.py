@@ -52,8 +52,6 @@ from .executor import (
     ThreadStudyExecutor,
     make_executor,
     resolve_backend,
-    resolve_cell_timeout,
-    resolve_workers,
 )
 from .journal import CellJournal, cell_key
 from .persist import (
@@ -86,6 +84,4 @@ __all__ = [
     "make_executor",
     "quarantine_file",
     "resolve_backend",
-    "resolve_cell_timeout",
-    "resolve_workers",
 ]

@@ -18,17 +18,19 @@ re-submitting, and the simulated dollars saved at the model's published
 batch price — surfaced in :meth:`repro.llm.batching.BatchJob.report` and
 in the ``runtime`` block of ``full_study.json``.
 
-A process-wide *active* cache can be installed with :func:`activate`
-(or implicitly via ``REPRO_CACHE=1`` / ``REPRO_CACHE_PATH``); the study
-factories wrap their clients through :func:`wrap_client`, which is a
-no-op when no cache is active, so default behaviour is unchanged.
+One switch turns it on for a study: ``full_run --cache`` (with
+``--cache-path`` to persist it; ``run_study``'s ``use_cache=`` and
+``cache_path=``).  ``run_study`` then installs a process-wide *active*
+cache with :func:`activate`, which the run's in-process grid cells share
+and forked pool workers inherit, and uninstalls it, after saving it,
+when the run ends.  A grid cell whose ``use_cache`` is set wraps its
+hardened clients in a :class:`CachedClient` over that cache.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 from ..errors import CorruptStateError, CostModelError, LLMError
@@ -44,15 +46,8 @@ __all__ = [
     "activate",
     "deactivate",
     "active_cache",
-    "cache_enabled_from_env",
     "ensure_active_cache",
-    "wrap_client",
 ]
-
-#: Environment switches: ``REPRO_CACHE=1`` activates a process-wide cache;
-#: ``REPRO_CACHE_PATH`` additionally persists it as JSON-lines.
-CACHE_ENV = "REPRO_CACHE"
-CACHE_PATH_ENV = "REPRO_CACHE_PATH"
 
 _SEPARATOR = b"\x00"
 
@@ -301,30 +296,6 @@ def active_cache() -> CompletionCache | None:
     return _active
 
 
-def cache_enabled_from_env() -> bool:
-    """Whether ``REPRO_CACHE`` / ``REPRO_CACHE_PATH`` request caching."""
-    value = os.environ.get(CACHE_ENV, "").strip().lower()
-    if value in {"1", "true", "on", "yes"}:
-        return True
-    return bool(os.environ.get(CACHE_PATH_ENV, "").strip())
-
-
 def ensure_active_cache() -> CompletionCache:
-    """Return the active cache, creating one (honouring env vars) if absent."""
-    if _active is not None:
-        return _active
-    path = os.environ.get(CACHE_PATH_ENV, "").strip() or None
-    return activate(CompletionCache(path=path))
-
-
-def wrap_client(client: LLMClient) -> LLMClient:
-    """Wrap ``client`` with the active cache; identity when none is active.
-
-    The environment switch is honoured lazily so worker processes forked
-    by the process executor pick the cache up without explicit plumbing.
-    """
-    if _active is None and cache_enabled_from_env():
-        ensure_active_cache()
-    if _active is None:
-        return client
-    return CachedClient(client, _active)
+    """Return the active cache, installing an in-memory one if absent."""
+    return _active if _active is not None else activate(CompletionCache())

@@ -21,10 +21,9 @@ Results are always merged in *submission order*: ``map_tasks`` returns
 ``[fn(t) for t in tasks]`` regardless of completion order, so a parallel
 study run produces byte-identical JSON to a serial one.
 
-Backend and worker count resolve from, in priority order: explicit
-arguments, the ``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` environment
-variables, the :class:`~repro.config.StudyConfig` fields, and finally
-``(1, serial)``.
+Backend and worker count have one source: :func:`make_executor`'s
+arguments, which ``full_run``'s ``--workers`` (default 1) and
+``--backend`` (default ``auto``) set.
 
 Pool executors additionally contain *worker death*: a task whose worker
 process dies (``BrokenProcessPool``) no longer aborts the whole study.
@@ -40,14 +39,12 @@ down the same path.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
 from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
 from typing import Any
 
-from ..config import StudyConfig
 from ..errors import ConfigurationError, WorkerCrashError
 from ..reliability.clock import Clock, SystemClock
 
@@ -57,20 +54,12 @@ __all__ = [
     "SerialExecutor",
     "ThreadStudyExecutor",
     "ProcessStudyExecutor",
-    "resolve_workers",
     "resolve_backend",
-    "resolve_cell_timeout",
     "make_executor",
 ]
 
 #: Recognised executor backend names.
 EXECUTOR_BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
-
-#: Environment variables consulted by :func:`make_executor`.
-WORKERS_ENV = "REPRO_WORKERS"
-BACKEND_ENV = "REPRO_EXECUTOR"
-#: Environment variable enabling the per-task wall-clock watchdog.
-CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT_S"
 
 #: Watchdog poll interval while futures are outstanding, in seconds.
 _WATCHDOG_POLL_S = 0.02
@@ -377,42 +366,10 @@ class ProcessStudyExecutor(_PoolExecutor):
         return ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
 
 
-def resolve_workers(
-    workers: int | None = None, config: StudyConfig | None = None
-) -> int:
-    """Worker count: explicit arg > ``REPRO_WORKERS`` > config > 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{WORKERS_ENV}={raw!r} is not an integer"
-                ) from None
-    if workers is None and config is not None:
-        workers = config.workers
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-def resolve_backend(
-    backend: str | None = None,
-    config: StudyConfig | None = None,
-    workers: int = 1,
-) -> str:
-    """Backend: explicit arg > ``REPRO_EXECUTOR`` > config > auto.
-
-    ``auto`` (the config default) picks ``thread`` when more than one
-    worker is requested and ``serial`` otherwise.
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip() or None
-    if backend is None and config is not None and config.executor_backend != "auto":
-        backend = config.executor_backend
-    if backend is None or backend == "auto":
+def resolve_backend(backend: str = "auto", workers: int = 1) -> str:
+    """The concrete backend name; ``auto`` picks ``thread`` when more
+    than one worker is requested and ``serial`` otherwise."""
+    if backend == "auto":
         backend = "thread" if workers > 1 else "serial"
     if backend not in EXECUTOR_BACKENDS:
         known = ", ".join(EXECUTOR_BACKENDS)
@@ -422,45 +379,31 @@ def resolve_backend(
     return backend
 
 
-def resolve_cell_timeout(cell_timeout_s: float | None = None) -> float | None:
-    """Watchdog timeout: explicit arg > ``REPRO_CELL_TIMEOUT_S`` > off."""
-    if cell_timeout_s is None:
-        raw = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
-        if raw:
-            try:
-                cell_timeout_s = float(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{CELL_TIMEOUT_ENV}={raw!r} is not a number"
-                ) from None
-    if cell_timeout_s is not None and cell_timeout_s <= 0:
-        raise ConfigurationError(
-            f"cell timeout must be positive, got {cell_timeout_s}"
-        )
-    return cell_timeout_s
-
-
 def make_executor(
-    workers: int | None = None,
-    backend: str | None = None,
-    config: StudyConfig | None = None,
+    workers: int = 1,
+    backend: str = "auto",
     cell_timeout_s: float | None = None,
     clock: Clock | None = None,
 ) -> StudyExecutor:
-    """Build the executor selected by arguments, environment and config.
+    """Build the executor for ``workers`` on ``backend``.
 
-    ``cell_timeout_s`` (or ``REPRO_CELL_TIMEOUT_S``) arms the per-task
-    hang watchdog on the pool backends; the serial backend runs inline
-    and cannot preempt a hung task.
+    ``cell_timeout_s`` arms the per-task hang watchdog on the pool
+    backends; the serial backend runs inline and cannot preempt a hung
+    task.  A worker count below 1 or a non-positive timeout raises
+    :class:`~repro.errors.ConfigurationError` on every backend.
 
     >>> make_executor(workers=1).backend
     'serial'
     >>> make_executor(workers=3, backend="thread").workers
     3
     """
-    workers = resolve_workers(workers, config)
-    backend = resolve_backend(backend, config, workers=workers)
-    cell_timeout_s = resolve_cell_timeout(cell_timeout_s)
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if cell_timeout_s is not None and cell_timeout_s <= 0:
+        raise ConfigurationError(
+            f"cell timeout must be positive, got {cell_timeout_s}"
+        )
+    backend = resolve_backend(backend, workers)
     if workers == 1 or backend == "serial":
         # A one-worker pool only adds dispatch overhead; serial is the
         # identical-output fast path.

@@ -14,18 +14,26 @@ every cell it is handed.  Because every source of randomness is seeded
 per cell, dispatching cells through any executor backend yields
 bit-identical results to the serial nested loops it replaces.
 
+A cell's settings ride on its :class:`~repro.config.StudyConfig`: the
+retry policy and fault plan its LLM clients run under, and whether a
+failure aborts the study.  :func:`run_cell` builds each cell's own
+client stack from them, so a pool worker gets its settings with the
+pickled cell and reads no global.  Its retry/fault counts come back the
+same way: every cell counts into its own
+:class:`~repro.reliability.counters.Tally`, carried on its outcome, and
+:func:`run_cells` sums the per-cell counts on every backend.
+
 Cells degrade gracefully: :func:`run_cell_guarded` converts a cell's
-terminal :class:`~repro.errors.ReproError` (after the configured
-whole-cell retries) into a structured :class:`CellFailure` record
-instead of aborting the study, unless fail-fast is requested.  Failure
-semantics are specified in ``docs/FAILURE_SEMANTICS.md``.
+terminal :class:`~repro.errors.ReproError` (after :data:`CELL_RETRIES`
+whole-cell re-runs) into a structured :class:`CellFailure` record
+instead of aborting the study, unless the config asks for fail-fast.
+Failure semantics are specified in ``docs/FAILURE_SEMANTICS.md``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from ..config import StudyConfig
 from ..data.generators import build_all_datasets
@@ -37,14 +45,16 @@ from ..errors import (
     TransientLLMError,
 )
 from ..eval.loo import LeaveOneOutRunner, StudyResult, TargetResult
+from ..llm.client import LLMClient
 from ..obs.trace import span
-from ..reliability import counters as reliability_counters
-from ..reliability import wiring
-from .cache import active_cache, ensure_active_cache
+from ..reliability.counters import Tally
+from ..reliability.wiring import harden_client
+from .cache import CachedClient, active_cache, ensure_active_cache
 from .executor import StudyExecutor
 from .stats import RuntimeStats
 
 __all__ = [
+    "CELL_RETRIES",
     "GridCell",
     "CellResult",
     "CellFailure",
@@ -87,7 +97,8 @@ class GridCell:
     #: Table-4 only: the LLM profile and demonstration strategy.
     model: str = ""
     strategy: str = ""
-    #: Activate the process-local completion cache before running.
+    #: Answer this cell's completions from the process's active
+    #: completion cache (installing an in-memory one if none is).
     use_cache: bool = False
 
     def __post_init__(self) -> None:
@@ -110,8 +121,7 @@ class CellResult:
     result: TargetResult
     seconds: float
     cache_delta: dict[str, float] = field(default_factory=dict)
-    #: Retry/fault counter movement inside this cell (process workers
-    #: report it here because the parent cannot see their globals).
+    #: This cell's retry/fault tally across every whole-cell attempt.
     reliability_delta: dict[str, float] = field(default_factory=dict)
     #: How many whole-cell re-runs this result needed (0 = first try).
     retries: int = 0
@@ -140,6 +150,8 @@ class CellFailure:
     #: non-retryable error fails the cell on its first attempt).
     retryable: bool = False
     cache_delta: dict[str, float] = field(default_factory=dict)
+    #: This cell's retry/fault tally across every whole-cell attempt
+    #: (empty for a cell whose pool worker died or hung).
     reliability_delta: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -155,13 +167,16 @@ class CellFailure:
         }
 
 
-def _factory_for(cell: GridCell, world):
+def _factory_for(cell: GridCell, world, wrap_llm):
     """Rebuild the matcher factory for one cell (inside the worker)."""
     if cell.kind == "table3":
         from ..study.roster import build_roster
 
         entry = build_roster(
-            world, names=(cell.matcher_name,), llm_seed=cell.llm_seed
+            world,
+            names=(cell.matcher_name,),
+            llm_seed=cell.llm_seed,
+            wrap_llm=wrap_llm,
         )[0]
         return entry.factory
 
@@ -169,19 +184,13 @@ def _factory_for(cell: GridCell, world):
     from ..llm.prompts import DemonstrationStrategy
     from ..llm.simulated import SimulatedLLM
     from ..matchers import MatchGPTMatcher
-    from .cache import wrap_client
 
     profile = get_llm_profile(cell.model)
     strategy = DemonstrationStrategy(cell.strategy)
 
     def factory(code: str):
-        # Composition order matters: faults/retries inside, cache outside
-        # (see repro.reliability.wiring.harden_client).
-        client = wrap_client(
-            wiring.harden_client(SimulatedLLM(profile, world, seed=cell.llm_seed))
-        )
         return MatchGPTMatcher(
-            client,
+            wrap_llm(SimulatedLLM(profile, world, seed=cell.llm_seed)),
             demo_strategy=strategy,
             display_name=f"{profile.display_name} ({strategy.value})",
             params_millions=profile.params_millions,
@@ -190,20 +199,29 @@ def _factory_for(cell: GridCell, world):
     return factory
 
 
-def run_cell(cell: GridCell) -> CellResult:
-    """Evaluate one grid cell; safe to run in any executor backend."""
+def run_cell(cell: GridCell, tally: Tally | None = None) -> CellResult:
+    """Evaluate one grid cell; safe to run in any executor backend.
+
+    The cell's LLM clients count into ``tally`` (default: a fresh one),
+    and the result carries the tally's counts.
+    """
     started = time.perf_counter()
-    if cell.use_cache:
-        ensure_active_cache()
-    cache = active_cache()
+    tally = tally if tally is not None else Tally()
+    cache = ensure_active_cache() if cell.use_cache else None
     snapshot = cache.counters() if cache is not None else {}
-    reliability_snapshot = reliability_counters.snapshot()
+    policy, plan = cell.config.retry_policy, cell.config.fault_plan
+
+    def wrap_llm(client: LLMClient) -> LLMClient:
+        # Faults and retries inside, the cache outermost (see
+        # repro.reliability.wiring.harden_client for why).
+        client = harden_client(client, policy, plan, tally)
+        return CachedClient(client, cache) if cache is not None else client
 
     datasets, world = dataset_bundle(cell.config.dataset_scale, cell.dataset_seed)
     datasets = {code: datasets[code] for code in cell.codes}
     runner = LeaveOneOutRunner(datasets, cell.config, codes=cell.codes)
     result = runner.run_target(
-        _factory_for(cell, world),
+        _factory_for(cell, world, wrap_llm),
         cell.target_code,
         seen_in_training=cell.seen_in_training,
     )
@@ -213,7 +231,7 @@ def run_cell(cell: GridCell) -> CellResult:
         result=result,
         seconds=time.perf_counter() - started,
         cache_delta=cache.delta_since(snapshot) if cache is not None else {},
-        reliability_delta=reliability_counters.delta_since(reliability_snapshot),
+        reliability_delta=tally.snapshot(),
     )
 
 
@@ -222,13 +240,17 @@ def run_cell(cell: GridCell) -> CellResult:
 #: loop), not a property of the cell itself.
 _CELL_RETRYABLE = (TransientLLMError, RetryExhaustedError, DeadlineExceededError)
 
+#: Whole-cell re-runs after a retryable failure.
+CELL_RETRIES = 1
 
-def run_cell_guarded(cell: GridCell, cell_retries: int = 1) -> "CellResult | CellFailure":
+
+def run_cell_guarded(cell: GridCell) -> "CellResult | CellFailure":
     """Evaluate one cell, degrading failures into :class:`CellFailure`.
 
     Library errors (:class:`~repro.errors.ReproError`) are caught; a
-    retryable one re-runs the whole cell up to ``cell_retries`` times
-    before a failure record is returned.  Programming errors
+    retryable one re-runs the whole cell up to :data:`CELL_RETRIES`
+    times before a failure record is returned.  One tally counts every
+    attempt, and the outcome carries it.  Programming errors
     (``TypeError`` et al.) still propagate and abort the run — graceful
     degradation is for environmental failures, not bugs.  Note that
     under a *deterministic* fault plan a whole-cell re-run replays the
@@ -237,6 +259,7 @@ def run_cell_guarded(cell: GridCell, cell_retries: int = 1) -> "CellResult | Cel
     nondeterministic failures of a real backend.
     """
     started = time.perf_counter()
+    tally = Tally()
     attempts = 0
     with span(
         "grid.cell",
@@ -247,14 +270,14 @@ def run_cell_guarded(cell: GridCell, cell_retries: int = 1) -> "CellResult | Cel
         while True:
             attempts += 1
             try:
-                result = run_cell(cell)
+                result = run_cell(cell, tally)
                 if attempts > 1:
                     result = replace(result, retries=attempts - 1)
                 cell_span.set(outcome="ok", attempts=attempts)
                 return result
             except ReproError as error:
                 retryable = isinstance(error, _CELL_RETRYABLE)
-                if retryable and attempts <= cell_retries:
+                if retryable and attempts <= CELL_RETRIES:
                     continue
                 cell_span.set(
                     outcome="failed",
@@ -269,27 +292,8 @@ def run_cell_guarded(cell: GridCell, cell_retries: int = 1) -> "CellResult | Cel
                     attempts=attempts,
                     seconds=time.perf_counter() - started,
                     retryable=retryable,
+                    reliability_delta=tally.snapshot(),
                 )
-
-
-def _resolve_cell_retries(explicit: int | None, config: StudyConfig | None) -> int:
-    """Cell retry budget: explicit arg > ``REPRO_CELL_RETRIES`` > config > 1."""
-    if explicit is not None:
-        return explicit
-    from_env = wiring.cell_retries_from_env()
-    if from_env is not None:
-        return from_env
-    return config.cell_retries if config is not None else 1
-
-
-def _resolve_fail_fast(explicit: bool | None, config: StudyConfig | None) -> bool:
-    """Fail-fast switch: explicit arg > ``REPRO_FAIL_FAST`` > config > off."""
-    if explicit is not None:
-        return explicit
-    from_env = wiring.fail_fast_from_env()
-    if from_env is not None:
-        return from_env
-    return config.fail_fast if config is not None else False
 
 
 def split_failures(
@@ -304,7 +308,7 @@ def split_failures(
 def _crashed_cell_failure(cell: GridCell, error: ReproError) -> CellFailure:
     """The degradation record for a cell whose pool worker died or hung.
 
-    The worker took the cell's timing and counter deltas with it, so the
+    The worker took the cell's timing and tally with it, so the
     record carries only the structured blame for the
     ``runtime.cell_failures`` block.  Crash failures are journaled like
     any other outcome, so a resumed run replays the degradation rather
@@ -327,19 +331,15 @@ def run_cells(
     executor: StudyExecutor,
     stats: RuntimeStats | None = None,
     phase: str = "grid",
-    cell_retries: int | None = None,
-    fail_fast: bool | None = None,
     journal=None,
 ) -> list["CellResult | CellFailure"]:
     """Dispatch cells through the executor, in submission order.
 
     Failed cells degrade into :class:`CellFailure` entries in the
-    returned list (and into ``stats``) unless ``fail_fast`` resolves
-    true, in which case the first failure raises
-    :class:`~repro.errors.CellExecutionError`.  ``cell_retries`` and
-    ``fail_fast`` default from the environment
-    (``REPRO_CELL_RETRIES`` / ``REPRO_FAIL_FAST``) and then the cells'
-    :class:`~repro.config.StudyConfig`.
+    returned list (and into ``stats``) unless the cells' config sets
+    ``fail_fast``, in which case the first failure raises
+    :class:`~repro.errors.CellExecutionError`.  ``stats`` sums every
+    computed cell's retry/fault tally, whatever the backend.
 
     With a :class:`~repro.runtime.journal.CellJournal` attached, cells
     already present in the journal are *replayed* from disk instead of
@@ -349,11 +349,6 @@ def run_cells(
     A worker process that dies or hangs mid-cell degrades into the same
     :class:`CellFailure` path via the executor's crash containment.
     """
-    config = cells[0].config if cells else None
-    retries = _resolve_cell_retries(cell_retries, config)
-    abort_on_failure = _resolve_fail_fast(fail_fast, config)
-    worker = partial(run_cell_guarded, cell_retries=retries)
-
     outcomes: list["CellResult | CellFailure | None"] = [None] * len(cells)
     pending_indices = list(range(len(cells)))
     if journal is not None:
@@ -372,7 +367,6 @@ def run_cells(
 
     cache = active_cache()
     cache_snapshot = cache.counters() if cache is not None else {}
-    reliability_snapshot = reliability_counters.snapshot()
 
     def dispatch() -> list["CellResult | CellFailure"]:
         with span(
@@ -383,7 +377,7 @@ def run_cells(
             backend=executor.backend,
         ):
             return executor.map_tasks(
-                worker,
+                run_cell_guarded,
                 pending_cells,
                 on_result=journal_outcome if journal is not None else None,
                 on_crash=_crashed_cell_failure,
@@ -416,17 +410,10 @@ def run_cells(
             # Replayed cells did no work and contribute nothing.
             for outcome in computed:
                 stats.merge_cache(outcome.cache_delta)
-        if executor.backend != "process":
-            # Same aliasing argument as the cache: one whole-phase delta
-            # of this process's reliability counters is exact.
-            stats.merge_reliability(
-                reliability_counters.delta_since(reliability_snapshot)
-            )
-        else:
-            # A failed process cell's counters die with the exception;
-            # successful cells partition exactly.
-            for outcome in computed:
-                stats.merge_reliability(outcome.reliability_delta)
+        # Every cell counts into its own tally, so per-cell counts
+        # partition exactly on every backend.
+        for outcome in computed:
+            stats.merge_reliability(outcome.reliability_delta)
         stats.merge_reliability(
             {
                 "cell_retries": sum(r.retries for r in successes)
@@ -436,7 +423,7 @@ def run_cells(
         )
         stats.record_failures(failures)
 
-    if failures and abort_on_failure:
+    if failures and cells[0].config.fail_fast:
         first = failures[0]
         raise CellExecutionError(
             f"{len(failures)} grid cell(s) failed (fail-fast); first: "

@@ -15,8 +15,9 @@ Three properties make the replay sound:
 * **Content-addressed keys.**  :func:`cell_key` hashes everything that
   can influence a cell's result — cell identity, seeds, the code roster
   and the science knobs of the :class:`~repro.config.StudyConfig` (but
-  *not* runtime knobs like worker count, which provably do not change
-  results).  A journal written at 4 workers resumes correctly at 1.
+  *not* its runtime settings or the worker count, which provably do not
+  change results).  A journal written at 4 workers resumes correctly
+  at 1.
 * **Per-record checksums.**  Every record embeds a sha256 over its
   canonical payload; damaged records are quarantined to a
   ``.corrupt-<ts>`` sidecar (collected as structured
@@ -46,10 +47,12 @@ __all__ = ["JOURNAL_VERSION", "cell_key", "CellJournal"]
 JOURNAL_VERSION = 1
 
 #: StudyConfig fields that can change a cell's result and therefore key
-#: material.  Runtime knobs (workers, executor_backend, cell_retries,
-#: fail_fast) and the profile label are deliberately absent: they are
-#: parity-tested to never change table values, so a journal survives
-#: being resumed under a different runtime configuration.
+#: material.  The runtime settings (fail_fast, retry_policy, fault_plan)
+#: and the profile label are deliberately absent: they are parity-tested
+#: to never change a computed cell's values (they decide only whether a
+#: cell fails, and a journaled failure replays as one), so a journal
+#: survives being resumed under a different runtime configuration or
+#: worker count.
 _CONFIG_KEY_FIELDS = (
     "seeds",
     "test_cap",

@@ -6,7 +6,8 @@ the workers.  On a parallel run the ratio ``task_seconds / wall_seconds``
 is the realised speedup over an ideal serial execution of the same tasks
 — the number the benchmark harness tracks across PRs.  Cache counters are
 merged in from the per-cell deltas the grid workers return (a parent
-process cannot observe a pool worker's in-memory cache directly).
+process cannot observe a pool worker's in-memory cache directly), and
+retry/fault counts from each cell's own tally.
 
 The aggregate lands in the ``runtime`` block of ``full_study.json`` and
 is printed as the run footer; it never touches any table or figure value.
@@ -21,6 +22,11 @@ from typing import Iterator
 from ..reliability import counters as reliability_counters
 
 __all__ = ["RuntimeStats"]
+
+#: The reliability counts the footer prints.
+_FOOTER_RELIABILITY_KEYS = (
+    "request_retries", "faults_injected", "cell_retries", "cell_failures"
+)
 
 
 class RuntimeStats:
@@ -39,9 +45,9 @@ class RuntimeStats:
             "saved_prompt_tokens": 0,
             "saved_dollars": 0.0,
         }
-        #: The process-wide reliability table's keys (the only list of
-        #: them) plus the grid's own cell retry/failure counts; every
-        #: value starts as an int but ``retry_sleep_seconds``.
+        #: A cell tally's keys (the only list of them) plus the grid's own
+        #: cell retry/failure counts; every value starts as an int but
+        #: ``retry_sleep_seconds``.
         self.reliability_counters: dict[str, float] = {
             key: 0.0 if key == "retry_sleep_seconds" else 0
             for key in (
@@ -123,8 +129,8 @@ class RuntimeStats:
 
     @property
     def reliability_active(self) -> bool:
-        """Whether any retry, fault or cell-failure activity was recorded."""
-        return any(value for value in self.reliability_counters.values())
+        """Whether a count the footer's reliability line prints is nonzero."""
+        return any(self.reliability_counters[key] for key in _FOOTER_RELIABILITY_KEYS)
 
     def speedup_vs_serial(self, phase: str) -> float | None:
         """Realised speedup of ``phase``: serial task time over wall time.

@@ -6,7 +6,7 @@ writes one JSON document (consumed by EXPERIMENTS.md and the benchmark
 harness for paper-vs-measured comparisons).
 
 On a single CPU core the ``default`` profile takes roughly an hour
-serially; ``--workers N`` (or ``REPRO_WORKERS=N``) fans the independent
+serially; ``--workers N`` fans the independent
 ``(matcher, target)`` grid cells across a worker pool, and ``--cache``
 answers repeated prompts (Table 4's ``none`` strategy re-runs Table 3's
 MatchGPT cells verbatim) from the content-addressed completion cache.
@@ -14,12 +14,19 @@ Parallel and cached runs produce bit-identical table values; the run's
 wall-clock, task and cache accounting lands in the document's
 ``runtime`` block.
 
-The run is fault-tolerant: with ``--retries`` (or ``REPRO_RETRY``) every
-LLM request retries transient failures under seeded exponential backoff,
-failed grid cells degrade into structured ``runtime.cell_failures``
-entries instead of aborting (``--fail-fast`` restores the abort), and
-``--faults SPEC`` injects deterministic faults to rehearse all of it
-offline — see ``docs/FAILURE_SEMANTICS.md``.
+The run is fault-tolerant: with ``--retries`` every LLM request retries
+transient failures under seeded exponential backoff, failed grid cells
+degrade into structured ``runtime.cell_failures`` entries instead of
+aborting (``--fail-fast`` restores the abort), and ``--faults SPEC``
+injects deterministic faults to rehearse all of it offline — see
+``docs/FAILURE_SEMANTICS.md``.
+
+Every setting has one source: its flag here, or the matching
+:func:`run_study` argument.  The retry policy, fault plan and fail-fast
+switch ride on the :class:`~repro.config.StudyConfig` each grid cell
+carries, and the retry/fault counts are tallied per cell.  A run leaves
+no process state behind: the completion cache it installed is saved and
+uninstalled when it ends, and nothing is written to the environment.
 
 It is also crash-safe: ``--journal PATH`` write-ahead logs every
 completed grid cell (fsynced JSONL), all output files are written
@@ -32,59 +39,40 @@ yielding a byte-identical ``full_study.json``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ..config import StudyConfig, get_profile
 from ..errors import ConfigurationError
 from ..obs.wiring import activate_observability
 from ..reliability import Clock, FaultPlan, RetryPolicy, SystemClock
-from ..reliability.wiring import (
-    FAIL_FAST_ENV,
-    FAULTS_ENV,
-    RETRY_ENV,
-    activate_faults,
-    activate_policy,
-)
-from ..runtime.cache import (
-    CompletionCache,
-    activate,
-    active_cache,
-    cache_enabled_from_env,
-)
-from ..runtime.executor import (
-    make_executor,
-    resolve_backend,
-    resolve_cell_timeout,
-    resolve_workers,
-)
+from ..runtime.cache import CompletionCache, activate, deactivate
+from ..runtime.executor import EXECUTOR_BACKENDS, make_executor, resolve_backend
 from ..runtime.journal import CellJournal
 from ..runtime.persist import atomic_write_json
 from ..runtime.stats import RuntimeStats
 from . import figures, findings, table3, table4, table5, table6
 
 
-def _configure_reliability(
-    retries: int | None, faults: str | None, fail_fast: bool | None
-) -> None:
-    """Install the requested reliability configuration process-wide.
-
-    Activation goes through both the in-process globals (serial and
-    thread cells) *and* ``os.environ`` (so fork-context process-pool
-    workers, which honour the env lazily exactly like the completion
-    cache, see an identical configuration).
-    """
-    if faults:
-        plan = activate_faults(FaultPlan.parse(faults))
-        os.environ[FAULTS_ENV] = plan.to_spec()
+def _with_settings(
+    config: StudyConfig,
+    retries: int | None = None,
+    faults: str | None = None,
+    fail_fast: bool = False,
+) -> StudyConfig:
+    """``config`` with the run's ``--retries``, ``--faults`` and
+    ``--fail-fast`` applied; an unset argument keeps the config's value."""
+    changes: dict = {}
     if retries is not None:
         # ``--retries N`` = N retries after the first attempt; 0 disables
         # retrying but keeps response validation on.
-        policy = activate_policy(RetryPolicy(max_attempts=retries + 1))
-        os.environ[RETRY_ENV] = policy.to_spec()
+        changes["retry_policy"] = RetryPolicy(max_attempts=retries + 1)
+    if faults:
+        changes["fault_plan"] = FaultPlan.parse(faults)
     if fail_fast:
-        os.environ[FAIL_FAST_ENV] = "1"
+        changes["fail_fast"] = True
+    return replace(config, **changes)
 
 
 def default_journal_path(out_path: Path) -> Path:
@@ -97,13 +85,13 @@ def run_study(
     out_path: Path,
     codes: tuple[str, ...] | None = None,
     matchers: tuple[str, ...] | None = None,
-    workers: int | None = None,
-    backend: str | None = None,
-    use_cache: bool | None = None,
+    workers: int = 1,
+    backend: str = "auto",
+    use_cache: bool = False,
     cache_path: str | None = None,
     retries: int | None = None,
     faults: str | None = None,
-    fail_fast: bool | None = None,
+    fail_fast: bool = False,
     export_artifacts: str | None = None,
     journal_path: str | Path | None = None,
     resume: bool = False,
@@ -118,10 +106,17 @@ def run_study(
     are roster-independent and run regardless.  At least one matcher must
     appear in the Table 6 cost model or Figure 3 has nothing to plot.
 
+    ``workers``/``backend`` pick the executor (``auto``: a thread pool
+    when ``workers > 1``, else serial).  ``use_cache`` installs a
+    completion cache for the run (persisted at ``cache_path`` if given)
+    and uninstalls it, after saving it, when the run ends.
+
     ``retries``/``faults``/``fail_fast`` configure the reliability layer
-    (see :mod:`repro.reliability`): failed grid cells are retried, then
-    recorded as structured entries under ``runtime.cell_failures`` in the
-    output document instead of aborting the run — unless ``fail_fast``.
+    (see :mod:`repro.reliability`); they are applied to ``config``, and
+    every grid cell carries them to whichever process runs it.  Failed
+    grid cells are retried, then recorded as structured entries under
+    ``runtime.cell_failures`` in the output document instead of aborting
+    the run — unless ``fail_fast``.
 
     ``journal_path`` attaches a write-ahead :class:`CellJournal` (every
     completed grid cell is fsynced to disk before the run moves on);
@@ -140,11 +135,11 @@ def run_study(
     also embeds a routing profile (see :mod:`repro.routing.drift`) in
     the artifact manifest, summarised in the same block.
 
-    ``trace_path`` (or ``REPRO_TRACE``) enables the observability layer
-    for the run: spans covering grid cells, LLM request retries, batch
-    chunks and fast-path inference are exported as self-checksummed
-    JSONL at that path, and the document gains an ``observability``
-    block summarising the trace (see ``docs/OBSERVABILITY.md``).  With
+    ``trace_path`` enables the observability layer for the run: spans
+    covering grid cells, LLM request retries, batch chunks and fast-path
+    inference are exported as self-checksummed JSONL at that path, and
+    the document gains an ``observability`` block summarising the trace
+    (see ``docs/OBSERVABILITY.md``).  With
     observability off (the default) the document is byte-identical to
     one produced without the layer.
 
@@ -155,25 +150,9 @@ def run_study(
     """
     clock = clock or SystemClock()
     started = clock.monotonic()
-    n_workers = resolve_workers(workers, config)
-    backend_name = resolve_backend(backend, config, workers=n_workers)
-    _configure_reliability(retries, faults, fail_fast)
-    if use_cache is None:
-        use_cache = cache_enabled_from_env()
-    if use_cache and active_cache() is None:
-        activate(CompletionCache(path=cache_path))
-    stats = RuntimeStats(workers=n_workers, backend=backend_name)
-    obs = activate_observability(
-        str(trace_path) if trace_path is not None else None
-    )
-    if obs is not None:
-        print(f"[full_run] tracing spans -> {obs.trace_path}", flush=True)
-    executor = make_executor(
-        workers=n_workers,
-        backend=backend_name,
-        config=config,
-        cell_timeout_s=resolve_cell_timeout(cell_timeout_s),
-    )
+    config = _with_settings(config, retries, faults, fail_fast)
+    executor = make_executor(workers, backend, cell_timeout_s)
+    stats = RuntimeStats(workers=workers, backend=resolve_backend(backend, workers))
 
     journal = None
     if journal_path is not None or resume:
@@ -208,6 +187,15 @@ def run_study(
                 ),
                 flush=True,
             )
+
+    # Installed last, just before the ``try`` whose ``finally`` removes
+    # them, so a run that raises leaves no process state behind.
+    cache = activate(CompletionCache(path=cache_path)) if use_cache else None
+    obs = activate_observability(
+        str(trace_path) if trace_path is not None else None
+    )
+    if obs is not None:
+        print(f"[full_run] tracing spans -> {obs.trace_path}", flush=True)
 
     document: dict = {"profile": config.name, "codes": list(codes or ())}
 
@@ -293,16 +281,23 @@ def run_study(
             t6 = table6.run()
             document["table5"] = t5.throughput_table()
             document["table6"] = t6.cost_table()
-            fig3 = figures.figure3(t3.quality_table(), t6)
-            fig4 = figures.figure4(t3.quality_table())
+            # A run whose every Table-3 cell failed has nothing to plot
+            # (its failures are in runtime.cell_failures); the figures
+            # are then empty and the document still finishes.
+            quality = t3.quality_table()
+            fig3_points, fig3_front, fig4_points = [], [], []
+            if quality:
+                fig3 = figures.figure3(quality, t6)
+                fig3_points, fig3_front = fig3.points, fig3.front()
+                fig4_points = figures.figure4(quality).points
             document["figure3"] = [
                 {"matcher": p.matcher, "f1": p.mean_f1, "cost": p.dollars_per_1k_tokens}
-                for p in fig3.points
+                for p in fig3_points
             ]
-            document["figure3_front"] = [p.matcher for p in fig3.front()]
+            document["figure3_front"] = [p.matcher for p in fig3_front]
             document["figure4"] = [
                 {"matcher": p.matcher, "f1": p.mean_f1, "params": p.params_millions}
-                for p in fig4.points
+                for p in fig4_points
             ]
             try:
                 analysis = findings.run(t3.per_dataset_table())
@@ -337,11 +332,12 @@ def run_study(
         # construction time and answers every already-completed prompt
         # from memory; only the work past the crash point is recomputed.
         # ``tests/study/test_warm_cache_retry.py`` pins this behaviour.
-        cache = active_cache()
-        if use_cache and cache is not None:
-            target = cache_path or cache.path
-            if target is not None:
-                saved_to = cache.save(target)
+        # The cache is uninstalled too, so the next run in this process
+        # starts without it.
+        if cache is not None:
+            deactivate()
+            if cache.path is not None:
+                saved_to = cache.save()
                 print(f"[runtime] completion cache ({len(cache)} entries) -> {saved_to}",
                       flush=True)
 
@@ -387,20 +383,17 @@ def main(argv: list[str] | None = None) -> int:
              "'StringSim,MatchGPT[GPT-4o-Mini]' (default: the full roster)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker-pool size (default: REPRO_WORKERS env var, else serial)",
+        "--workers", type=int, default=1,
+        help="worker-pool size (default: 1, serial)",
     )
     parser.add_argument(
-        "--backend", default=None, choices=("serial", "thread", "process"),
-        help="executor backend (default: REPRO_EXECUTOR env var, else auto)",
+        "--backend", default="auto", choices=("auto", *EXECUTOR_BACKENDS),
+        help="executor backend (default: auto, a thread pool when "
+             "--workers > 1)",
     )
     parser.add_argument(
-        "--cache", dest="use_cache", action="store_true", default=None,
+        "--cache", dest="use_cache", action="store_true",
         help="answer repeated prompts from the completion cache",
-    )
-    parser.add_argument(
-        "--no-cache", dest="use_cache", action="store_false",
-        help="disable the completion cache even if REPRO_CACHE is set",
     )
     parser.add_argument(
         "--cache-path", default=None,
@@ -409,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--retries", type=int, default=None,
         help="per-request retries after the first attempt (0 disables "
-             "retrying; default: REPRO_RETRY env var, else no retry layer)",
+             "retrying; default: no retry layer)",
     )
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
@@ -417,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
              "seed=3' (see repro.reliability.FaultPlan.parse)",
     )
     parser.add_argument(
-        "--fail-fast", action="store_true", default=None,
+        "--fail-fast", action="store_true",
         help="abort on the first failed grid cell instead of recording a "
              "structured CellFailure and continuing",
     )
@@ -440,14 +433,13 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", default=None, metavar="PATH",
         help="export a self-checksummed JSONL span trace to this path and "
              "add an 'observability' block to the output (default: "
-             "REPRO_TRACE env var, else observability stays off and the "
-             "output is byte-identical to an untraced run)",
+             "observability stays off and the output is byte-identical to "
+             "an untraced run)",
     )
     parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
         help="per-cell wall-clock watchdog: a cell stuck past this long is "
-             "abandoned as a retryable CellFailure (default: "
-             "REPRO_CELL_TIMEOUT_S env var, else no watchdog)",
+             "abandoned as a retryable CellFailure (default: no watchdog)",
     )
     args = parser.parse_args(argv)
     codes = tuple(c for c in args.codes.split(",") if c) or None

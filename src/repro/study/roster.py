@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from ..data.registry import JELLYFISH_SEEN, get_spec
 from ..data.world import EntityWorld
 from ..errors import ReproError
+from ..llm.client import LLMClient
 from ..llm.profiles import get_profile as get_llm_profile
 from ..llm.prompts import DemonstrationStrategy
 from ..llm.simulated import SimulatedLLM
@@ -21,8 +22,6 @@ from ..matchers import (
     UnicornMatcher,
     ZeroERMatcher,
 )
-from ..reliability.wiring import harden_client
-from ..runtime.cache import wrap_client
 
 __all__ = ["RosterEntry", "ROSTER_ORDER", "build_roster"]
 
@@ -70,13 +69,18 @@ def build_roster(
     names: tuple[str, ...] | None = None,
     llm_seed: int = 0,
     demo_strategy: DemonstrationStrategy = DemonstrationStrategy.NONE,
+    wrap_llm: Callable[[LLMClient], LLMClient] | None = None,
 ) -> list[RosterEntry]:
     """Construct roster entries for the requested matcher names.
 
     ``world`` grounds the simulated LLM service; trainable matchers never
     receive it.  ``demo_strategy`` applies to the MatchGPT variants only
     (Table 4 uses it; Table 3 keeps the default of no demonstrations).
+    ``wrap_llm`` wraps every simulated LLM client a factory builds — a
+    grid cell passes its retry/fault/cache stack here; the default
+    leaves the client bare.
     """
+    wrap = wrap_llm or (lambda client: client)
     names = names or ROSTER_ORDER
     unknown = set(names) - set(ROSTER_ORDER)
     if unknown:
@@ -111,9 +115,9 @@ def build_roster(
             )
         elif name == "Jellyfish":
             def jellyfish_factory(code: str) -> Matcher:
-                client = wrap_client(harden_client(
+                client = wrap(
                     SimulatedLLM(get_llm_profile("jellyfish-13b"), world, seed=llm_seed)
-                ))
+                )
                 return JellyfishMatcher(client)
 
             entries.append(
@@ -124,7 +128,7 @@ def build_roster(
             profile = get_llm_profile(model)
 
             def matchgpt_factory(code: str, profile=profile) -> Matcher:
-                client = wrap_client(harden_client(SimulatedLLM(profile, world, seed=llm_seed)))
+                client = wrap(SimulatedLLM(profile, world, seed=llm_seed))
                 return MatchGPTMatcher(
                     client,
                     demo_strategy=demo_strategy,

@@ -1,4 +1,10 @@
-"""Table 3 — cross-dataset F1 for all matcher variants (the main result)."""
+"""Table 3 — cross-dataset F1 for all matcher variants (the main result).
+
+Each ``(matcher, target)`` cell carries the run's :class:`StudyConfig`,
+and with it the retry policy, fault plan and fail-fast switch its LLM
+clients run under; :func:`run` takes no other runtime setting than the
+executor, the stats sink, the cache switch and the journal.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,7 @@ from ..config import StudyConfig, get_profile
 from ..eval.loo import LeaveOneOutRunner, StudyResult
 from ..eval.reporting import format_table3
 from ..runtime import grid
-from ..runtime.cache import cache_enabled_from_env
-from ..runtime.executor import StudyExecutor, make_executor
+from ..runtime.executor import SerialExecutor, StudyExecutor
 from ..runtime.stats import RuntimeStats
 from .roster import ROSTER_ORDER, build_roster
 
@@ -46,7 +51,7 @@ def run(
     dataset_seed: int = 7,
     executor: StudyExecutor | None = None,
     stats: RuntimeStats | None = None,
-    use_cache: bool | None = None,
+    use_cache: bool = False,
     journal=None,
 ) -> Table3Result:
     """Run the leave-one-dataset-out study for the requested matchers.
@@ -55,18 +60,16 @@ def run(
     run short (the trained matchers dominate the wall-clock cost).
 
     The grid of ``(matcher, target)`` cells is dispatched through
-    ``executor`` (default: whatever ``REPRO_WORKERS`` / the config
-    select; serial when unset).  Cells are independent and fully seeded,
-    so every backend returns bit-identical results.  With ``journal`` (a
+    ``executor`` (default: serial).  Cells are independent and fully
+    seeded, so every backend returns bit-identical results.  With
+    ``use_cache`` the cells answer repeated prompts from the process's
+    active completion cache.  With ``journal`` (a
     :class:`~repro.runtime.journal.CellJournal`) attached, finished cells
     are replayed from disk and new ones journaled as they complete.
     """
     config = config or get_profile("default")
     matcher_names = matcher_names or ROSTER_ORDER
-    if use_cache is None:
-        use_cache = cache_enabled_from_env()
-    owns_executor = executor is None
-    executor = executor or make_executor(config=config)
+    executor = executor or SerialExecutor()
 
     datasets, world = grid.dataset_bundle(config.dataset_scale, dataset_seed)
     if codes:
@@ -90,13 +93,9 @@ def run(
         for entry in entries
         for code in loop_codes
     ]
-    try:
-        cell_results = grid.run_cells(
-            cells, executor, stats=stats, phase="table3", journal=journal
-        )
-    finally:
-        if owns_executor:
-            executor.close()
+    cell_results = grid.run_cells(
+        cells, executor, stats=stats, phase="table3", journal=journal
+    )
     results = grid.collect_rows(
         cells, cell_results, {entry.name: entry.params_millions for entry in entries}
     )

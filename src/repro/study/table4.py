@@ -10,8 +10,7 @@ from ..eval.reporting import format_table3
 from ..llm.profiles import get_profile as get_llm_profile
 from ..llm.prompts import DemonstrationStrategy
 from ..runtime import grid
-from ..runtime.cache import cache_enabled_from_env
-from ..runtime.executor import StudyExecutor, make_executor
+from ..runtime.executor import SerialExecutor, StudyExecutor
 from ..runtime.stats import RuntimeStats
 
 __all__ = ["Table4Result", "run", "TABLE4_MODELS", "TABLE4_STRATEGIES"]
@@ -58,7 +57,7 @@ def run(
     llm_seed: int = 0,
     executor: StudyExecutor | None = None,
     stats: RuntimeStats | None = None,
-    use_cache: bool | None = None,
+    use_cache: bool = False,
     strategies: tuple[DemonstrationStrategy, ...] = TABLE4_STRATEGIES,
     journal=None,
 ) -> Table4Result:
@@ -71,10 +70,7 @@ def run(
     Table-3 MatchGPT prompts for the same model, seed and targets.
     """
     config = config or get_profile("default")
-    if use_cache is None:
-        use_cache = cache_enabled_from_env()
-    owns_executor = executor is None
-    executor = executor or make_executor(config=config)
+    executor = executor or SerialExecutor()
 
     datasets, _world = grid.dataset_bundle(config.dataset_scale, dataset_seed)
     if codes:
@@ -100,13 +96,9 @@ def run(
                         use_cache=use_cache,
                     )
                 )
-    try:
-        cell_results = grid.run_cells(
-            cells, executor, stats=stats, phase="table4", journal=journal
-        )
-    finally:
-        if owns_executor:
-            executor.close()
+    cell_results = grid.run_cells(
+        cells, executor, stats=stats, phase="table4", journal=journal
+    )
 
     results: dict[tuple[str, str], StudyResult] = {}
     for cell, cell_result in zip(cells, cell_results):

@@ -44,9 +44,6 @@ def _command(out: Path, journal: Path, *extra: str) -> list[str]:
 def _env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    # Keep the subprocess's reliability configuration hermetic.
-    for var in ("REPRO_FAULTS", "REPRO_RETRY", "REPRO_FAIL_FAST", "REPRO_CACHE"):
-        env.pop(var, None)
     return env
 
 

@@ -18,7 +18,6 @@ import pytest
 
 from repro.config import StudyConfig, SurrogateScale
 from repro.reliability import RetryPolicy
-from repro.reliability.wiring import activate_policy, deactivate_policy
 from repro.runtime.persist import canonical_json
 from repro.study.full_run import run_study
 
@@ -36,6 +35,10 @@ _CODES = ("ABT", "BEER")
 
 
 def _tiny_config() -> StudyConfig:
+    # The retry layer is on for ALL runs (identically, so parity still
+    # holds) because ``llm.request`` spans live inside the retrying
+    # client — without it the traced run could not demonstrate the
+    # cell -> retry -> batch -> infer coverage this module pins.
     return StudyConfig(
         name="obs-parity",
         seeds=(0,),
@@ -46,6 +49,7 @@ def _tiny_config() -> StudyConfig:
         surrogate=SurrogateScale(
             d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=32, vocab_size=1024
         ),
+        retry_policy=RetryPolicy(max_attempts=1),
     )
 
 
@@ -59,23 +63,15 @@ def runs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("obs_parity")
     config = _tiny_config()
     documents = {}
-    # The retry layer is active for ALL runs (identically, so parity
-    # still holds) because ``llm.request`` spans live inside the
-    # retrying client — without it the traced run could not demonstrate
-    # the cell -> retry -> batch -> infer coverage the ISSUE pins.
-    activate_policy(RetryPolicy(max_attempts=1))
-    try:
-        for label in ("plain_a", "plain_b"):
-            out = directory / f"{label}.json"
-            run_study(config, out, codes=_CODES)
-            documents[label] = json.loads(out.read_text())
-        trace = directory / "traced.trace.jsonl"
-        out = directory / "traced.json"
-        run_study(config, out, codes=_CODES, trace_path=trace)
-        documents["traced"] = json.loads(out.read_text())
-        documents["trace_path"] = trace
-    finally:
-        deactivate_policy()
+    for label in ("plain_a", "plain_b"):
+        out = directory / f"{label}.json"
+        run_study(config, out, codes=_CODES)
+        documents[label] = json.loads(out.read_text())
+    trace = directory / "traced.trace.jsonl"
+    out = directory / "traced.json"
+    run_study(config, out, codes=_CODES, trace_path=trace)
+    documents["traced"] = json.loads(out.read_text())
+    documents["trace_path"] = trace
     return documents
 
 

@@ -19,6 +19,7 @@ from repro.reliability import (
     FaultPlan,
     RetryPolicy,
     RetryingClient,
+    Tally,
     validate_yes_no,
 )
 from repro.reliability import faults
@@ -127,14 +128,43 @@ class TestFaultShapes:
         assert injector.complete(LLMRequest(prompt=_PROMPTS[0])).text == "No"
         assert clock.sleeps == [0.3]
 
+    def test_faults_count_into_the_shared_tally(self):
+        tally = Tally()
+        client = RetryingClient(
+            FaultInjector(EchoClient("Yes"), _plan(), tally=tally),
+            RetryPolicy(base_delay_s=0.0, jitter=0.0),
+            validate=validate_yes_no,
+            tally=tally,
+        )
+        for prompt in _PROMPTS:
+            client.complete(LLMRequest(prompt=prompt))
+        counts = tally.snapshot()
+        assert counts["faults_injected"] == (
+            counts["transient_faults"] + counts["rate_limit_faults"]
+            + counts["malformed_completions"]
+        ) > 0
+        # Every injected error cost one more attempt, and a retry.
+        assert counts["request_retries"] == counts["faults_injected"]
+        assert counts["attempts"] == len(_PROMPTS) + counts["request_retries"]
+
 
 class TestPlanSpecs:
-    def test_round_trip(self):
-        plan = FaultPlan(transient_rate=0.2, rate_limit_rate=0.05,
-                         latency_rate=0.1, malformed_rate=0.05,
-                         latency_s=0.02, retry_after_s=0.1, seed=3,
-                         max_consecutive=2)
-        assert FaultPlan.parse(plan.to_spec()) == plan
+    def test_parse_covers_every_rate_key(self):
+        spec = ("transient=0.2,rate_limit=0.05,latency=0.1,malformed=0.05,"
+                "latency_s=0.02,retry_after_s=0.1,seed=3,max_consecutive=2")
+        assert FaultPlan.parse(spec) == FaultPlan(
+            transient_rate=0.2, rate_limit_rate=0.05, latency_rate=0.1,
+            malformed_rate=0.05, latency_s=0.02, retry_after_s=0.1, seed=3,
+            max_consecutive=2,
+        )
+        # Whitespace and empty fragments are tolerated; unset keys default.
+        assert FaultPlan.parse(" transient = 0.2 ,, seed=3 ") == FaultPlan(
+            transient_rate=0.2, seed=3
+        )
+        assert FaultPlan.parse("") == FaultPlan()
+        for bad in ("transient", "seed=three", "max_consecutive=1.5"):
+            with pytest.raises(ConfigurationError):
+                FaultPlan.parse(bad)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -156,11 +186,13 @@ class TestCrashPoint:
         yield
         faults.reset_crash_state()
 
-    def test_spec_round_trip(self):
-        plan = FaultPlan(crash_at=3, torn_write=True)
-        assert FaultPlan.parse(plan.to_spec()) == plan
-        parsed = FaultPlan.parse("crash_at=2,torn_write=1")
-        assert parsed.crash_at == 2 and parsed.torn_write is True
+    def test_parse_crash_keys(self):
+        assert FaultPlan.parse("crash_at=3,torn_write=1") == FaultPlan(
+            crash_at=3, torn_write=True
+        )
+        parsed = FaultPlan.parse("crash_at=2,torn_write=0")
+        assert parsed.crash_at == 2 and parsed.torn_write is False
+        assert FaultPlan.parse("crash_at=1").torn_write is False
 
     def test_validation_and_any_faults(self):
         with pytest.raises(ConfigurationError):

@@ -87,17 +87,6 @@ class TestValidationAndSpecs:
         with pytest.raises(ConfigurationError):
             RetryPolicy(default_timeout_s=0.0)
 
-    def test_spec_round_trip(self):
-        policy = RetryPolicy(max_attempts=6, base_delay_s=0.1, max_delay_s=3.0,
-                             multiplier=1.5, jitter=0.25, seed=9,
-                             default_timeout_s=30.0)
-        assert RetryPolicy.parse(policy.to_spec()) == policy
-
-    def test_parse_defaults_and_errors(self):
-        assert RetryPolicy.parse("attempts=2") == RetryPolicy(max_attempts=2)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy.parse("attempts=2,bogus=1")
-
     def test_without_retries(self):
         policy = RetryPolicy(max_attempts=5).without_retries()
         assert policy.max_attempts == 1

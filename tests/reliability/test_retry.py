@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -17,7 +20,7 @@ from repro.reliability import (
     FakeClock,
     RetryPolicy,
     RetryingClient,
-    counters,
+    Tally,
     validate_yes_no,
 )
 from repro.runtime.stats import RuntimeStats
@@ -228,28 +231,59 @@ class TestBatchIntegration:
 
 
 class TestCounters:
-    def test_retries_are_counted_process_wide(self):
-        before = counters.snapshot()
+    def test_retries_are_counted_in_the_client_tally(self):
         client = RetryingClient(
             ScriptedClient([TransientLLMError("a")]),
             RetryPolicy(base_delay_s=0.25, jitter=0.0), clock=FakeClock(),
         )
         client.complete(_request())
-        delta = counters.delta_since(before)
-        assert delta["attempts"] == 2
-        assert delta["request_retries"] == 1
-        assert delta["retry_sleep_seconds"] == pytest.approx(0.25)
+        counts = client.tally.snapshot()
+        assert counts["attempts"] == 2
+        assert counts["request_retries"] == 1
+        assert counts["retry_sleep_seconds"] == pytest.approx(0.25)
+
+    def test_clients_sharing_a_tally_count_into_it(self):
+        tally = Tally()
+        for _ in range(2):
+            RetryingClient(
+                ScriptedClient([TransientLLMError("a")]),
+                RetryPolicy(base_delay_s=0.0, jitter=0.0), clock=FakeClock(),
+                tally=tally,
+            ).complete(_request())
+        assert tally.snapshot()["attempts"] == 4
+        assert tally.snapshot()["request_retries"] == 2
+        # A client given no tally counts into a fresh one of its own.
+        assert RetryingClient(ScriptedClient([])).tally is not tally
+
+    def test_concurrent_records_are_not_lost(self):
+        tally = Tally()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [tally.record("attempts") for _ in range(5_000)]
+                )
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tally.snapshot()["attempts"] == 8 * 5_000
 
     def test_merged_counts_render_as_ints(self):
         """Only ``retry_sleep_seconds`` reaches ``runtime.reliability`` as a float."""
-        before = counters.snapshot()
         client = RetryingClient(
             ScriptedClient([TransientLLMError("a")]),
             RetryPolicy(base_delay_s=0.25, jitter=0.0), clock=FakeClock(),
         )
         client.complete(_request())
         stats = RuntimeStats()
-        stats.merge_reliability(counters.delta_since(before))
+        stats.merge_reliability(client.tally.snapshot())
         block = stats.as_dict()["reliability"]
         assert repr(block["attempts"]) == "2"
         assert repr(block["request_retries"]) == "1"

@@ -14,10 +14,9 @@ from repro.runtime.cache import (
     CompletionCache,
     activate,
     active_cache,
-    cache_enabled_from_env,
     completion_key,
     deactivate,
-    wrap_client,
+    ensure_active_cache,
 )
 
 
@@ -174,24 +173,13 @@ class TestPersistence:
 
 
 class TestActiveCache:
-    def test_wrap_is_identity_without_cache(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_PATH", raising=False)
-        client = _CountingClient()
-        assert wrap_client(client) is client
-
-    def test_wrap_uses_active_cache(self):
-        cache = activate(CompletionCache())
-        wrapped = wrap_client(_CountingClient())
-        assert isinstance(wrapped, CachedClient)
-        assert wrapped.cache is cache
-
-    def test_env_switch_creates_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "1")
-        wrapped = wrap_client(_CountingClient())
-        assert isinstance(wrapped, CachedClient)
-        assert active_cache() is wrapped.cache
-        assert cache_enabled_from_env()
+    def test_ensure_installs_one_in_memory_cache(self):
+        assert active_cache() is None
+        cache = ensure_active_cache()
+        assert active_cache() is cache and cache.path is None
+        assert ensure_active_cache() is cache
+        installed = activate(CompletionCache())
+        assert ensure_active_cache() is installed
 
     def test_delta_since_snapshot(self):
         cache = CompletionCache()

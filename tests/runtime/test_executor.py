@@ -1,12 +1,9 @@
-"""Tests for the worker-pool executors and their resolution rules."""
+"""Tests for the worker-pool executors and how make_executor picks one."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.config import StudyConfig
 from repro.errors import ConfigurationError
 from repro.runtime.executor import (
     ProcessStudyExecutor,
@@ -14,7 +11,6 @@ from repro.runtime.executor import (
     ThreadStudyExecutor,
     make_executor,
     resolve_backend,
-    resolve_workers,
 )
 
 
@@ -55,32 +51,10 @@ class TestMapTasks:
 
 
 class TestResolution:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "8")
-        assert resolve_workers(3) == 3
-
-    def test_env_beats_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers(None, StudyConfig(workers=2)) == 5
-
-    def test_config_beats_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None, StudyConfig(workers=2)) == 2
-        assert resolve_workers(None, None) == 1
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(ConfigurationError):
-            resolve_workers(None)
-
-    def test_backend_auto_depends_on_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert resolve_backend(None, workers=1) == "serial"
-        assert resolve_backend(None, workers=4) == "thread"
-
-    def test_backend_env_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        assert resolve_backend(None, workers=4) == "process"
+    def test_backend_auto_depends_on_workers(self):
+        assert resolve_backend("auto", workers=1) == "serial"
+        assert resolve_backend("auto", workers=4) == "thread"
+        assert resolve_backend("process", workers=4) == "process"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ConfigurationError):
@@ -88,21 +62,22 @@ class TestResolution:
 
 
 class TestMakeExecutor:
-    def test_single_worker_collapses_to_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    def test_single_worker_collapses_to_serial(self):
         assert isinstance(make_executor(workers=1, backend="thread"), SerialExecutor)
         assert isinstance(make_executor(), SerialExecutor)
 
-    def test_env_selects_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        executor = make_executor()
-        assert isinstance(executor, ThreadStudyExecutor)
-        assert executor.workers == 3
+    def test_arguments_select_pool(self):
+        thread = make_executor(workers=3)
+        assert isinstance(thread, ThreadStudyExecutor)
+        assert thread.workers == 3
+        assert isinstance(make_executor(workers=2, backend="process"), ProcessStudyExecutor)
 
-    def test_config_selects_pool(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        config = StudyConfig(workers=2, executor_backend="process")
-        assert isinstance(make_executor(config=config), ProcessStudyExecutor)
+    def test_zero_workers_and_timeout_rejected(self):
+        # On every backend, the serial one included.
+        for backend in ("auto", "serial", "thread", "process"):
+            with pytest.raises(ConfigurationError):
+                make_executor(workers=0, backend=backend)
+            with pytest.raises(ConfigurationError):
+                make_executor(workers=1, backend=backend, cell_timeout_s=0)
+            with pytest.raises(ConfigurationError):
+                make_executor(workers=2, backend=backend, cell_timeout_s=-1.0)

@@ -7,13 +7,11 @@ import threading
 
 import pytest
 
-from repro.errors import ConfigurationError, WorkerCrashError
+from repro.errors import WorkerCrashError
 from repro.runtime.executor import (
-    CELL_TIMEOUT_ENV,
     ProcessStudyExecutor,
     SerialExecutor,
     ThreadStudyExecutor,
-    resolve_cell_timeout,
 )
 
 _CRASH_INPUT = 13
@@ -121,23 +119,3 @@ class TestSerialCallbacks:
         assert out == [10, 20, 30]
         assert seen == [(0, 10), (1, 20), (2, 30)]
 
-
-class TestResolveCellTimeout:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(CELL_TIMEOUT_ENV, "60")
-        assert resolve_cell_timeout(2.5) == 2.5
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(CELL_TIMEOUT_ENV, "1.5")
-        assert resolve_cell_timeout() == 1.5
-
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv(CELL_TIMEOUT_ENV, raising=False)
-        assert resolve_cell_timeout() is None
-
-    def test_bad_values_rejected(self, monkeypatch):
-        monkeypatch.setenv(CELL_TIMEOUT_ENV, "soon")
-        with pytest.raises(ConfigurationError):
-            resolve_cell_timeout()
-        with pytest.raises(ConfigurationError):
-            resolve_cell_timeout(0)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import get_profile
-from repro.reliability import faults
-from repro.reliability.wiring import FAULTS_ENV, deactivate_faults
+from repro.reliability import FaultPlan, faults
 from repro.runtime import grid
 from repro.runtime.executor import ProcessStudyExecutor, SerialExecutor
 from repro.runtime.journal import CellJournal
@@ -26,34 +27,33 @@ def _stringsim_cell(code: str) -> grid.GridCell:
     )
 
 
-def _matchgpt_cell(code: str) -> grid.GridCell:
+def _matchgpt_cell(code: str, config=SMOKE) -> grid.GridCell:
     return grid.GridCell(
         kind="table4",
         matcher_name="GPT-3.5 Turbo (none)",
         target_code=code,
-        config=SMOKE,
+        config=config,
         codes=CODES,
         model="gpt-3.5-turbo",
         strategy="none",
     )
 
 
-@pytest.fixture()
-def _crash_plan(monkeypatch):
-    """Arm a crash-at-first-LLM-call plan for forked pool workers."""
-    deactivate_faults()
-    monkeypatch.setenv(FAULTS_ENV, "crash_at=1")
+@pytest.fixture(autouse=True)
+def _clean_crash_state():
     yield
-    deactivate_faults()
     faults.reset_crash_state()
 
 
 class TestWorkerDeathDegradation:
-    def test_crashed_cell_degrades_and_others_complete(self, _crash_plan):
-        # The MatchGPT cell's first LLM completion kills its worker; the
-        # StringSim cells make no LLM calls and must complete normally.
+    def test_crashed_cell_degrades_and_others_complete(self):
+        # The MatchGPT cell's config carries a crash-at-first-LLM-call
+        # plan to its forked worker: its first completion kills the
+        # worker.  The StringSim cells make no LLM calls and must
+        # complete normally.
+        crashing = replace(SMOKE, fault_plan=FaultPlan(crash_at=1))
         cells = [
-            _matchgpt_cell("ABT"),
+            _matchgpt_cell("ABT", crashing),
             _stringsim_cell("ABT"),
             _stringsim_cell("BEER"),
         ]

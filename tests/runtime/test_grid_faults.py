@@ -3,9 +3,13 @@
 The acceptance property of the reliability layer: a seeded study run
 under a 20% transient-error fault plan with the retry layer on produces
 **byte-identical** tables to a fault-free run — across worker counts —
-while the retry/fault counters show the layer actually worked.  With
+while the retry/fault counts show the layer actually worked.  With
 retries disabled, the same faults degrade into structured
 ``CellFailure`` records instead of aborting (unless ``fail_fast``).
+
+The plan and policy ride on the cells' ``StudyConfig``; each cell counts
+into its own tally, so the per-cell counts partition the run's totals
+on the thread backend too.
 """
 
 from __future__ import annotations
@@ -17,15 +21,8 @@ import pytest
 
 from repro.config import StudyConfig, SurrogateScale
 from repro.errors import CellExecutionError
-from repro.reliability import (
-    FaultPlan,
-    RetryPolicy,
-    activate_faults,
-    activate_policy,
-    counters,
-    deactivate_faults,
-    deactivate_policy,
-)
+from repro.reliability import FaultPlan, RetryPolicy
+from repro.reliability.counters import COUNTER_KEYS
 from repro.runtime import grid
 from repro.runtime.cache import deactivate
 from repro.runtime.executor import SerialExecutor, ThreadStudyExecutor
@@ -53,25 +50,20 @@ _CODES = ("ABT", "BEER")
 _PLAN = FaultPlan(transient_rate=0.2, rate_limit_rate=0.03,
                   malformed_rate=0.02, retry_after_s=0.0, seed=3)
 _POLICY = RetryPolicy(max_attempts=4, base_delay_s=0.0, max_delay_s=0.0)
+_FAULTED = replace(_CONFIG, fault_plan=_PLAN, retry_policy=_POLICY)
+_FRAGILE = replace(_CONFIG, fault_plan=_PLAN, retry_policy=_POLICY.without_retries())
 
 
 @pytest.fixture(autouse=True)
-def _clean_reliability_state(monkeypatch):
-    for env in ("REPRO_RETRY", "REPRO_FAULTS", "REPRO_FAIL_FAST",
-                "REPRO_CELL_RETRIES", "REPRO_CACHE", "REPRO_CACHE_PATH"):
-        monkeypatch.delenv(env, raising=False)
+def _no_active_cache():
     deactivate()
-    deactivate_policy()
-    deactivate_faults()
     yield
     deactivate()
-    deactivate_policy()
-    deactivate_faults()
 
 
-def _table3_json(executor, stats=None) -> str:
+def _table3_json(config, executor, stats=None) -> str:
     result = table3.run(
-        _CONFIG, _MATCHERS, codes=_CODES, executor=executor, stats=stats
+        config, _MATCHERS, codes=_CODES, executor=executor, stats=stats
     )
     return json.dumps(
         {
@@ -83,46 +75,91 @@ def _table3_json(executor, stats=None) -> str:
     )
 
 
+def _table4_cells(config) -> list[grid.GridCell]:
+    """GPT-4o-Mini under the ``none`` and ``hand-picked`` strategies."""
+    return [
+        grid.GridCell(
+            kind="table4",
+            matcher_name=f"MatchGPT[GPT-4o-Mini] ({strategy})",
+            target_code=code,
+            config=config,
+            codes=_CODES,
+            model="gpt-4o-mini",
+            strategy=strategy,
+        )
+        for strategy in ("none", "hand-picked")
+        for code in _CODES
+    ]
+
+
 class TestFaultParity:
     def test_injected_faults_leave_tables_byte_identical(self):
-        reference = _table3_json(SerialExecutor())
+        reference = _table3_json(_CONFIG, SerialExecutor())
 
-        activate_faults(_PLAN)
-        activate_policy(_POLICY)
-        before = counters.snapshot()
         stats = RuntimeStats(workers=4, backend="thread")
         with ThreadStudyExecutor(4) as executor:
-            faulted = _table3_json(executor, stats=stats)
-        delta = counters.delta_since(before)
+            faulted = _table3_json(_FAULTED, executor, stats=stats)
 
         assert faulted == reference
         # The layer provably did something: faults landed, retries absorbed.
-        assert delta["faults_injected"] > 0
-        assert delta["transient_faults"] > 0
-        assert delta["request_retries"] > 0
-        # ... and the run's stats block carries the same evidence.
         reported = stats.as_dict()["reliability"]
-        assert reported["faults_injected"] == delta["faults_injected"]
-        assert reported["request_retries"] == delta["request_retries"]
+        assert reported["faults_injected"] > 0
+        assert reported["transient_faults"] > 0
+        assert reported["request_retries"] > 0
         assert reported["cell_failures"] == 0
         assert stats.reliability_active
 
     def test_serial_and_threaded_fault_runs_match(self):
-        activate_faults(_PLAN)
-        activate_policy(_POLICY)
-        serial = _table3_json(SerialExecutor())
+        serial = _table3_json(_FAULTED, SerialExecutor())
         with ThreadStudyExecutor(4) as executor:
-            threaded = _table3_json(executor)
+            threaded = _table3_json(_FAULTED, executor)
         assert threaded == serial
+
+
+class TestCellTallies:
+    def test_thread_cells_partition_the_totals(self):
+        cells = _table4_cells(_FAULTED)
+        serial_stats = RuntimeStats()
+        serial = grid.run_cells(cells, SerialExecutor(), stats=serial_stats)
+        thread_stats = RuntimeStats(workers=2, backend="thread")
+        with ThreadStudyExecutor(2) as executor:
+            threaded = grid.run_cells(cells, executor, stats=thread_stats)
+
+        # Each cell counts only its own requests, whatever ran beside it.
+        for serial_cell, thread_cell in zip(serial, threaded):
+            assert isinstance(thread_cell, grid.CellResult)
+            assert thread_cell.reliability_delta == serial_cell.reliability_delta
+        assert all(o.reliability_delta["faults_injected"] > 0 for o in threaded)
+        totals = thread_stats.as_dict()["reliability"]
+        for key in COUNTER_KEYS:
+            assert totals[key] == round(
+                sum(o.reliability_delta[key] for o in threaded), 6
+            )
+        assert totals == serial_stats.as_dict()["reliability"]
+
+    def test_failed_cell_carries_its_attempts(self):
+        stats = RuntimeStats()
+        [failure] = grid.run_cells(_table4_cells(_FRAGILE)[:1], SerialExecutor(), stats=stats)
+
+        assert isinstance(failure, grid.CellFailure)
+        assert failure.attempts == 2  # the whole-cell retry also ran
+        # Each whole-cell attempt ends at its first injected error.
+        counts = failure.reliability_delta
+        assert counts["faults_injected"] == 2
+        assert counts["request_retries"] == 0
+        assert counts["attempts"] >= 2
+        reported = stats.as_dict()["reliability"]
+        assert reported["attempts"] == counts["attempts"]
+        assert reported["faults_injected"] == 2
+        assert reported["cell_retries"] == 1
+        assert reported["cell_failures"] == 1
 
 
 class TestGracefulDegradation:
     def test_disabled_retries_degrade_into_cell_failures(self):
-        activate_faults(_PLAN)
-        activate_policy(_POLICY.without_retries())
         stats = RuntimeStats()
         result = table3.run(
-            _CONFIG, _MATCHERS, codes=_CODES, executor=SerialExecutor(),
+            _FRAGILE, _MATCHERS, codes=_CODES, executor=SerialExecutor(),
             stats=stats,
         )
         # Every cell trips an injected fault early, fails, and is recorded
@@ -144,21 +181,10 @@ class TestGracefulDegradation:
         assert block["cell_failures"] == stats.cell_failures
 
     def test_fail_fast_aborts_on_first_failure(self):
-        activate_faults(_PLAN)
-        activate_policy(_POLICY.without_retries())
-        config = replace(_CONFIG, fail_fast=True)
         with pytest.raises(CellExecutionError):
             table3.run(
-                config, _MATCHERS, codes=_CODES, executor=SerialExecutor()
-            )
-
-    def test_fail_fast_env_overrides_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAIL_FAST", "1")
-        activate_faults(_PLAN)
-        activate_policy(_POLICY.without_retries())
-        with pytest.raises(CellExecutionError):
-            table3.run(
-                _CONFIG, _MATCHERS, codes=_CODES, executor=SerialExecutor()
+                replace(_FRAGILE, fail_fast=True), _MATCHERS, codes=_CODES,
+                executor=SerialExecutor(),
             )
 
     def test_collect_rows_skips_failures(self):

@@ -9,7 +9,7 @@ import pytest
 from repro.config import get_profile
 from repro.errors import CorruptStateError
 from repro.eval.loo import SeedScore, TargetResult
-from repro.reliability import faults
+from repro.reliability import FaultPlan, RetryPolicy, faults
 from repro.runtime.grid import CellFailure, CellResult, GridCell
 from repro.runtime.journal import JOURNAL_VERSION, CellJournal, cell_key
 
@@ -75,7 +75,12 @@ class TestCellKey:
 
     def test_insensitive_to_runtime_knobs(self):
         smoke = get_profile("smoke")
-        reconfigured = dataclasses.replace(smoke, workers=8, cell_retries=5)
+        reconfigured = dataclasses.replace(
+            smoke,
+            fail_fast=True,
+            retry_policy=RetryPolicy(max_attempts=7, seed=3),
+            fault_plan=FaultPlan(transient_rate=0.2, seed=3),
+        )
         assert cell_key(_cell()) == cell_key(_cell(config=reconfigured))
 
 

@@ -69,7 +69,7 @@ class TestCacheMergeAndSerialisation:
         assert block["total_wall_seconds"] >= 0
 
     def test_reliability_block_keys_and_types(self):
-        """The process-wide counter keys, then the grid's; ints but one float."""
+        """A cell tally's counter keys, then the grid's; ints but one float."""
         block = RuntimeStats().as_dict()["reliability"]
         assert list(block) == [*counters.COUNTER_KEYS, "cell_retries", "cell_failures"]
         assert repr(block["retry_sleep_seconds"]) == "0.0"
@@ -83,3 +83,15 @@ class TestCacheMergeAndSerialisation:
         stats.merge_cache({"hits": 1, "misses": 1})
         assert "cache" in stats.footer()
         assert "backend=serial" in stats.footer()
+
+    def test_footer_reliability_line_needs_a_printed_count(self):
+        stats = RuntimeStats()
+        stats.merge_reliability({"attempts": 120, "retry_sleep_seconds": 0.0})
+        assert not stats.reliability_active
+        assert "reliability" not in stats.footer()
+        stats.merge_reliability({"request_retries": 1})
+        assert stats.reliability_active
+        assert (
+            "reliability: 1 request retries, 0 faults injected, "
+            "0 cell retries, 0 cell failures" in stats.footer()
+        )

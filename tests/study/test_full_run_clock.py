@@ -37,9 +37,6 @@ def _one_cheap_row(monkeypatch):
     # One simulated-LLM row keeps the run fast while staying in the cost
     # table Figure 3 needs; full_run reads ROSTER_ORDER lazily.
     monkeypatch.setattr(roster, "ROSTER_ORDER", ("MatchGPT[GPT-4o-Mini]",))
-    for env in ("REPRO_CACHE", "REPRO_CACHE_PATH", "REPRO_RETRY",
-                "REPRO_FAULTS", "REPRO_FAIL_FAST"):
-        monkeypatch.delenv(env, raising=False)
 
 
 def test_wall_clock_seconds_comes_from_the_injected_clock(tmp_path):

@@ -27,13 +27,6 @@ _CONFIG = StudyConfig(
 _CODES = ("ABT", "BEER")
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    for env in ("REPRO_CACHE", "REPRO_CACHE_PATH", "REPRO_RETRY",
-                "REPRO_FAULTS", "REPRO_FAIL_FAST"):
-        monkeypatch.delenv(env, raising=False)
-
-
 def test_matchers_restricts_the_table3_roster(tmp_path):
     document = full_run.run_study(
         _CONFIG,

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.config import get_profile
+from repro.errors import ConfigurationError
+from repro.runtime.cache import active_cache
 from repro.study import full_run
 
 
@@ -19,9 +24,10 @@ class TestArgumentHandling:
         full_run.main(["--profile", "smoke", "--out", str(tmp_path / "r.json")])
         assert captured["codes"] is None
         assert captured["config"].name == "smoke"
-        # Runtime knobs default to unset so env/config resolution applies.
-        assert captured["runtime_kwargs"]["workers"] is None
-        assert captured["runtime_kwargs"]["use_cache"] is None
+        # Runtime knobs default to a serial, uncached run.
+        assert captured["runtime_kwargs"]["workers"] == 1
+        assert captured["runtime_kwargs"]["backend"] == "auto"
+        assert captured["runtime_kwargs"]["use_cache"] is False
 
     def test_codes_parsing_subset(self, monkeypatch, tmp_path):
         captured = {}
@@ -63,4 +69,17 @@ class TestArgumentHandling:
         full_run.main(["--profile", "smoke", "--out", str(tmp_path / "r.json")])
         assert captured["retries"] is None
         assert captured["faults"] is None
-        assert captured["fail_fast"] is None
+        assert captured["fail_fast"] is False
+
+
+class TestRejectedSettings:
+    def test_zero_workers_and_timeout_rejected_before_running(self, tmp_path):
+        out = tmp_path / "r.json"
+        for settings in ({"workers": 0}, {"cell_timeout_s": 0},
+                         {"workers": 1, "backend": "serial", "cell_timeout_s": 0}):
+            with pytest.raises(ConfigurationError):
+                full_run.run_study(
+                    get_profile("smoke"), out, use_cache=True, **settings
+                )
+            assert active_cache() is None
+        assert not out.exists()

@@ -40,12 +40,14 @@ def _isolated(monkeypatch):
     # The run must issue LLM completions for the cache to matter, so keep
     # exactly one LLM-backed row (full_run reads ROSTER_ORDER lazily).
     monkeypatch.setattr(roster, "ROSTER_ORDER", ("MatchGPT[GPT-4o-Mini]",))
-    for env in ("REPRO_CACHE", "REPRO_CACHE_PATH", "REPRO_RETRY",
-                "REPRO_FAULTS", "REPRO_FAIL_FAST", "REPRO_CELL_RETRIES"):
-        monkeypatch.delenv(env, raising=False)
     cache_mod.deactivate()
     yield
     cache_mod.deactivate()
+
+
+def _checkpointed_cache(out_path) -> dict:
+    """The ``runtime.cache`` block of the last checkpoint."""
+    return json.loads(out_path.read_text())["runtime"]["cache"]
 
 
 def test_crashed_runs_persisted_cache_warms_the_retry(monkeypatch, tmp_path, capsys):
@@ -62,14 +64,14 @@ def test_crashed_runs_persisted_cache_warms_the_retry(monkeypatch, tmp_path, cap
             _CONFIG, out_path, codes=_CODES, use_cache=True,
             cache_path=str(cache_path),
         )
-    first = cache_mod.active_cache()
-    assert first is not None and first.misses > 0 and first.hits == 0
-    n_completed = len(first)
+    first = _checkpointed_cache(out_path)
+    assert first["misses"] > 0 and first["hits"] == 0
+    # The finally-block persisted the partial cache despite the crash,
+    # and uninstalled it.
+    assert cache_mod.active_cache() is None
+    n_completed = len(cache_path.read_text().splitlines())
     assert n_completed > 0
-    # The finally-block persisted the partial cache despite the crash.
-    assert cache_path.exists()
     first_table3 = json.loads(out_path.read_text())["table3"]
-    cache_mod.deactivate()
 
     # Run 2 (the retry, a fresh process in real life): same cache path.
     with pytest.raises(RuntimeError, match="simulated crash"):
@@ -77,10 +79,9 @@ def test_crashed_runs_persisted_cache_warms_the_retry(monkeypatch, tmp_path, cap
             _CONFIG, out_path, codes=_CODES, use_cache=True,
             cache_path=str(cache_path),
         )
-    warmed = cache_mod.active_cache()
-    assert warmed is not first
+    warmed = _checkpointed_cache(out_path)
     # Every Table-3 completion was answered from the persisted file:
     # nothing recomputed, and the table values are byte-identical.
-    assert warmed.misses == 0
-    assert warmed.hits >= n_completed
+    assert warmed["misses"] == 0
+    assert warmed["hits"] >= n_completed
     assert json.loads(out_path.read_text())["table3"] == first_table3
