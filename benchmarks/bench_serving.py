@@ -83,7 +83,6 @@ def _run_load(
     service = MatchService(
         matcher,
         max_batch_size=batch_size,
-        max_wait_ms=2.0,
         max_queue=len(trace) + n_clients,
     )
     per_client = len(trace) // n_clients
@@ -137,9 +136,9 @@ def _run_load(
 def run_bench(smoke: bool = False, out_path: Path = _OUT_PATH) -> dict:
     config = _bench_config()
     matcher = _fit_matcher(config)
-    # Closed-loop occupancy is capped by the client count, so the client
-    # pool must exceed the largest batch size for batch-32 coalescing to
-    # fill without stalling on the max_wait timer.
+    # Closed-loop occupancy is capped by the client count: a batch holds
+    # the requests that queued while the previous one ran, so only a
+    # client pool larger than the batch size can fill batch-32.
     n_clients = 8 if smoke else 64
     trace = _request_trace(128 if smoke else 1024)
 

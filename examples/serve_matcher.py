@@ -52,8 +52,9 @@ def main() -> None:
     print(f"indexed {len(index)} corpus records")
 
     # 4. Compose the service: index -> micro-batcher -> matcher, with
-    #    bounded-queue admission control and a 2 ms coalescing window.
-    service = MatchService(matcher, index=index, max_batch_size=32, max_wait_ms=2.0)
+    #    bounded-queue admission control; a started dispatcher batches
+    #    whatever queued while the previous batch ran.
+    service = MatchService(matcher, index=index, max_batch_size=32)
 
     # In-process requests work without starting the dispatcher thread —
     # submissions are processed inline in deterministic FIFO batches.

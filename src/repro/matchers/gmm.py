@@ -10,7 +10,6 @@ stay stable on small candidate sets.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..errors import MatcherError
 
@@ -19,6 +18,10 @@ __all__ = ["TwoComponentGMM"]
 
 def _log_gaussian(X: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Log density of N(mean, cov) at the rows of X."""
+    # Imported here so that importing the package (a server that only
+    # loads an artifact does) leaves scipy unloaded.
+    from scipy.linalg import solve_triangular
+
     dim = X.shape[1]
     chol = np.linalg.cholesky(cov)
     diff = X - mean

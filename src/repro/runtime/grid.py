@@ -203,12 +203,13 @@ def run_cell(cell: GridCell, tally: Tally | None = None) -> CellResult:
     """Evaluate one grid cell; safe to run in any executor backend.
 
     The cell's LLM clients count into ``tally`` (default: a fresh one),
-    and the result carries the tally's counts.
+    and the result carries the tally's counts.  Its cache activity is
+    left to :func:`run_cell_guarded`, which measures it across every
+    attempt of the cell.
     """
     started = time.perf_counter()
     tally = tally if tally is not None else Tally()
     cache = ensure_active_cache() if cell.use_cache else None
-    snapshot = cache.counters() if cache is not None else {}
     policy, plan = cell.config.retry_policy, cell.config.fault_plan
 
     def wrap_llm(client: LLMClient) -> LLMClient:
@@ -230,7 +231,6 @@ def run_cell(cell: GridCell, tally: Tally | None = None) -> CellResult:
         target_code=cell.target_code,
         result=result,
         seconds=time.perf_counter() - started,
-        cache_delta=cache.delta_since(snapshot) if cache is not None else {},
         reliability_delta=tally.snapshot(),
     )
 
@@ -249,8 +249,9 @@ def run_cell_guarded(cell: GridCell) -> "CellResult | CellFailure":
 
     Library errors (:class:`~repro.errors.ReproError`) are caught; a
     retryable one re-runs the whole cell up to :data:`CELL_RETRIES`
-    times before a failure record is returned.  One tally counts every
-    attempt, and the outcome carries it.  Programming errors
+    times before a failure record is returned.  One tally and one cache
+    snapshot, taken before the first attempt, count every attempt, and
+    the outcome — success or failure — carries both.  Programming errors
     (``TypeError`` et al.) still propagate and abort the run — graceful
     degradation is for environmental failures, not bugs.  Note that
     under a *deterministic* fault plan a whole-cell re-run replays the
@@ -260,6 +261,12 @@ def run_cell_guarded(cell: GridCell) -> "CellResult | CellFailure":
     """
     started = time.perf_counter()
     tally = Tally()
+    cache = ensure_active_cache() if cell.use_cache else None
+    snapshot = cache.counters() if cache is not None else {}
+
+    def cache_delta() -> dict[str, float]:
+        return cache.delta_since(snapshot) if cache is not None else {}
+
     attempts = 0
     with span(
         "grid.cell",
@@ -270,9 +277,11 @@ def run_cell_guarded(cell: GridCell) -> "CellResult | CellFailure":
         while True:
             attempts += 1
             try:
-                result = run_cell(cell, tally)
-                if attempts > 1:
-                    result = replace(result, retries=attempts - 1)
+                result = replace(
+                    run_cell(cell, tally),
+                    cache_delta=cache_delta(),
+                    retries=attempts - 1,
+                )
                 cell_span.set(outcome="ok", attempts=attempts)
                 return result
             except ReproError as error:
@@ -292,6 +301,7 @@ def run_cell_guarded(cell: GridCell) -> "CellResult | CellFailure":
                     attempts=attempts,
                     seconds=time.perf_counter() - started,
                     retryable=retryable,
+                    cache_delta=cache_delta(),
                     reliability_delta=tally.snapshot(),
                 )
 

@@ -5,15 +5,20 @@ Per-request dispatch wastes the fixed overhead every
 vectorised forward pass, prompt-batch setup); the paper's throughput
 analysis (Section 4.2) prices exactly this batching effect.
 :class:`MicroBatcher` recovers it online: concurrent ``submit`` calls
-land in a bounded FIFO queue, and a dispatcher forms a batch when either
-``max_batch_size`` items are waiting or ``max_wait_ms`` has elapsed since
-the oldest one arrived.
+land in a bounded FIFO queue, and whenever the dispatcher is free it
+takes up to ``max_batch_size`` of the requests waiting, without a timer.
+Requests that arrive while a batch runs wait for that batch and then
+ride the next one together, so occupancy follows the load: a lone
+request is answered at once, and under load batches fill while the
+previous one computes.
 
 Two dispatch modes share all queueing and accounting logic:
 
 * **threaded** — :meth:`start` launches a background dispatcher thread;
-  callers block on :meth:`PendingResult.result`.  This is the production
-  mode the HTTP front-end and the load benchmark drive.
+  callers block on :meth:`PendingResult.result`, or register a
+  :meth:`PendingResult.add_done_callback` (the HTTP front-end's event
+  loop does, so it never blocks).  This is the production mode the HTTP
+  front-end and the load benchmark drive.
 * **inline** — no thread; callers enqueue and then :meth:`drain`
   processes everything queued in deterministic FIFO batches.  With a
   :class:`~repro.reliability.clock.FakeClock` this makes scheduler tests
@@ -38,6 +43,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 from collections.abc import Callable, Sequence
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any
 
 from ..errors import ConfigurationError, DeadlineExceededError, OverloadedError, ServingError
@@ -47,42 +54,48 @@ from ..reliability.clock import Clock, SystemClock
 
 __all__ = ["PendingResult", "MicroBatcher"]
 
-#: Upper bound on one condition-variable wait so the dispatcher notices
-#: ``stop()`` promptly even when no requests arrive.
-_POLL_S = 0.05
-
 
 class PendingResult:
     """A slot for one in-flight request's outcome.
 
     Filled exactly once by the dispatcher — with a value or an error —
-    and read by the submitting caller via :meth:`result`.
+    and read by the submitting caller via :meth:`result`, or pushed to
+    it through :meth:`add_done_callback`.  The slot is backed by a
+    :class:`concurrent.futures.Future` that nothing outside it can
+    cancel, so a caller that gives up waiting never stops the dispatcher
+    from filling it.
     """
 
     def __init__(self, submitted_at: float) -> None:
         """An unfilled slot stamped with its admission time."""
         self.submitted_at = submitted_at
         self.completed_at: float | None = None
-        self._event = threading.Event()
-        self._value: Any = None
-        self._error: BaseException | None = None
+        self._future: Future = Future()
 
     def fulfil(self, value: Any, completed_at: float) -> None:
         """Deliver the result and wake the waiting caller."""
-        self._value = value
         self.completed_at = completed_at
-        self._event.set()
+        self._future.set_result(value)
 
     def fail(self, error: BaseException, completed_at: float) -> None:
         """Deliver a failure and wake the waiting caller."""
-        self._error = error
         self.completed_at = completed_at
-        self._event.set()
+        self._future.set_exception(error)
+
+    def add_done_callback(self, fn: Callable[["PendingResult"], None]) -> None:
+        """Call ``fn(self)`` once the outcome is delivered.
+
+        Runs on the delivering thread (the dispatcher), or at once when
+        the outcome is already in.  An exception ``fn`` raises is logged
+        by :mod:`concurrent.futures` and never reaches the dispatcher, so
+        the rest of the batch is still delivered.
+        """
+        self._future.add_done_callback(lambda _future: fn(self))
 
     @property
     def done(self) -> bool:
         """Whether the outcome has been delivered."""
-        return self._event.is_set()
+        return self._future.done()
 
     @property
     def latency_s(self) -> float | None:
@@ -98,13 +111,12 @@ class PendingResult:
         :class:`~repro.errors.DeadlineExceededError` (the request may
         still complete later, but this caller's time budget is spent).
         """
-        if not self._event.wait(timeout_s):
+        try:
+            return self._future.result(timeout_s)
+        except FutureTimeoutError:
             raise DeadlineExceededError(
                 f"request not completed within {timeout_s}s"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._value
+            ) from None
 
 
 class MicroBatcher:
@@ -123,17 +135,15 @@ class MicroBatcher:
             [list[Any], DeadlineBudget | None], Sequence[Any]
         ],
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 256,
         clock: Clock | None = None,
         length_key: Callable[[Any], float] | None = None,
     ) -> None:
         """Configure the batching policy.
 
-        ``max_batch_size`` caps one batch, ``max_wait_ms`` bounds how long
-        the oldest queued request waits for the batch to fill, and
-        ``max_queue`` is the admission-control bound beyond which submits
-        shed load with :class:`~repro.errors.OverloadedError`.
+        ``max_batch_size`` caps one batch, and ``max_queue`` is the
+        admission-control bound beyond which submits shed load with
+        :class:`~repro.errors.OverloadedError`.
 
         ``length_key`` (optional) turns on length-bucketed batch forming:
         each batch is a window of similar-``length_key`` requests instead
@@ -145,13 +155,10 @@ class MicroBatcher:
         """
         if max_batch_size < 1:
             raise ConfigurationError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ConfigurationError("max_wait_ms must be non-negative")
         if max_queue < 1:
             raise ConfigurationError(f"max_queue must be >= 1, got {max_queue}")
         self.process_batch = process_batch
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self.clock = clock or SystemClock()
         self.length_key = length_key
@@ -230,7 +237,7 @@ class MicroBatcher:
             self._queue.append((item, pending, self._seq, length, budget))
             self._seq += 1
             self._counters["submitted"] += 1
-            self._cond.notify_all()
+            self._cond.notify()
         return pending
 
     @property
@@ -263,8 +270,8 @@ class MicroBatcher:
         """Inline mode: process everything queued now; returns batch count.
 
         Batches are formed in deterministic FIFO order of at most
-        ``max_batch_size`` items with no waiting — the replayable dispatch
-        the determinism tests (and graceful shutdown) use.
+        ``max_batch_size`` items — the replayable dispatch the
+        determinism tests (and graceful shutdown) use.
         """
         n_batches = 0
         while True:
@@ -305,22 +312,15 @@ class MicroBatcher:
         return [(entry[0], entry[1], entry[4]) for entry in chosen]
 
     def _dispatch_loop(self) -> None:
-        """Threaded mode: batch when full or when the oldest waited enough."""
+        """Threaded mode: whenever free, take what is waiting and run it."""
         while True:
             with self._cond:
                 while not self._queue and not self._stopped:
-                    self._cond.wait(_POLL_S)
+                    self._cond.wait()
                 if self._stopped:
                     return
-                fill_deadline = self.clock.monotonic() + self.max_wait_ms / 1000.0
-                while len(self._queue) < self.max_batch_size and not self._stopped:
-                    remaining = fill_deadline - self.clock.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(min(remaining, _POLL_S))
                 batch = self._pop_batch()
-            if batch:
-                self._run_batch(batch)
+            self._run_batch(batch)
 
     def _run_batch(
         self, batch: list[tuple[Any, PendingResult, DeadlineBudget | None]]

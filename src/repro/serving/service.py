@@ -3,11 +3,19 @@
 :class:`MatchService` is the composition point of the online subsystem.
 A request travels::
 
-    match_pair / lookup
+    match_pair / lookup / admit
         -> CandidateIndex.query          (lookup only: candidate generation)
         -> MicroBatcher.submit           (admission control, coalescing)
         -> MatchRouter.route             (one batched model call per rung)
-        -> MatchResponse                 (label + latency back to the caller)
+        -> settle -> MatchResponse       (label + latency back to the caller)
+
+:meth:`MatchService.match_pair` blocks its calling thread until the
+outcome arrives.  :meth:`MatchService.admit` is the same admission
+without the wait: it returns the request's
+:class:`~repro.serving.scheduler.PendingResult`, an event loop (the HTTP
+front-end's) waits on that slot's done-callback, and
+:meth:`MatchService.settle` then folds the outcome into the response and
+the stats exactly as ``match_pair`` does.
 
 Reliability reuses the study's machinery: a
 :class:`~repro.reliability.policy.RetryPolicy` re-runs a failed batch
@@ -60,7 +68,7 @@ from ..reliability.clock import Clock, SystemClock
 from ..reliability.policy import RetryPolicy
 from ..routing.policy import MatchRouter, RoutedBackend
 from .index import Candidate, CandidateIndex
-from .scheduler import MicroBatcher
+from .scheduler import MicroBatcher, PendingResult
 
 __all__ = ["MatchResponse", "LookupMatch", "ServingStats", "MatchService", "pair_token_length"]
 
@@ -226,7 +234,6 @@ class MatchService:
         matcher: Matcher,
         index: CandidateIndex | None = None,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         max_queue: int = 256,
         retry_policy: RetryPolicy | None = None,
         serialization_seed: int | None = None,
@@ -285,7 +292,6 @@ class MatchService:
         self._batcher = MicroBatcher(
             self._process_batch,
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             max_queue=max_queue,
             clock=self.clock,
             length_key=pair_token_length if bucket_by_length else None,
@@ -409,11 +415,16 @@ class MatchService:
             self._batcher.drain()
         return pending
 
-    def _await(self, pending, budget: DeadlineBudget | None) -> MatchResponse:
+    def settle(
+        self, pending: PendingResult, budget: DeadlineBudget | None
+    ) -> MatchResponse:
         """Wait for one ``RouteDecision``, folding it into the stats.
 
         A deadline budget caps the wait at its remaining time, so the
         caller never blocks past the budget it granted the whole request.
+        A caller that already waited elsewhere (the HTTP front-end's
+        event loop) settles a delivered slot, or one whose budget has
+        run out, without blocking.
         """
         try:
             outcome = pending.result(
@@ -482,6 +493,23 @@ class MatchService:
             label=0,
         )
 
+    def admit(
+        self,
+        left: Sequence[str] | Record,
+        right: Sequence[str] | Record,
+        budget_s: float | None = None,
+    ) -> tuple[PendingResult, DeadlineBudget | None]:
+        """Admit one record pair without waiting for its batch.
+
+        Returns the request's slot and its deadline budget; pass both to
+        :meth:`settle` once the slot is filled or the budget is spent.
+        Shedding raises :class:`~repro.errors.OverloadedError` here, as
+        in :meth:`match_pair`.
+        """
+        budget = self._request_budget(budget_s)
+        pending = self._submit_pairs([self.make_pair(left, right)], budget)
+        return pending[0], budget
+
     def match_pair(
         self,
         left: Sequence[str] | Record,
@@ -495,9 +523,7 @@ class MatchService:
         queue, the batch call and the result wait.
         """
         with span("serving.match", pairs=1) as match_span:
-            budget = self._request_budget(budget_s)
-            pending = self._submit_pairs([self.make_pair(left, right)], budget)
-            response = self._await(pending[0], budget)
+            response = self.settle(*self.admit(left, right, budget_s))
             match_span.set(matched=response.matched)
             return response
 
@@ -518,10 +544,10 @@ class MatchService:
             responses: list[MatchResponse] = []
             try:
                 for p in pending:
-                    responses.append(self._await(p, budget))
+                    responses.append(self.settle(p, budget))
             except BaseException:
                 # The failing request was just counted (timeout/error by
-                # _await); everything admitted after it is never awaited
+                # settle); everything admitted after it is never awaited
                 # because this raise reaches the caller first — count
                 # those as abandoned so the partition stays exact.
                 abandoned = len(pending) - len(responses) - 1

@@ -266,7 +266,7 @@ class TestRoutedService:
 
 class TestHTTPRouterEndpoint:
     def test_get_router_on_routed_service(self):
-        service = MatchService(StringSimMatcher(), router=_router(), max_wait_ms=1.0)
+        service = MatchService(StringSimMatcher(), router=_router())
         with MatchHTTPServer(service) as server:
             status, body = _get(server.url, "/router")
             assert status == 200
@@ -275,7 +275,7 @@ class TestHTTPRouterEndpoint:
             assert metrics["routing"]["counters"] == body["router"]["counters"]
 
     def test_get_router_on_unrouted_service(self):
-        service = MatchService(StringSimMatcher(), max_wait_ms=1.0)
+        service = MatchService(StringSimMatcher())
         with MatchHTTPServer(service) as server:
             status, body = _get(server.url, "/router")
             assert status == 200
@@ -284,7 +284,7 @@ class TestHTTPRouterEndpoint:
             assert metrics["routing"]["counters"] == body["router"]["counters"]
 
     def test_post_match_carries_provenance(self):
-        service = MatchService(StringSimMatcher(), router=_router(), max_wait_ms=1.0)
+        service = MatchService(StringSimMatcher(), router=_router())
         with MatchHTTPServer(service) as server:
             left, right = TRACE[0]
             status, body = _post(
@@ -296,7 +296,7 @@ class TestHTTPRouterEndpoint:
             assert body["spend_usd"] >= 0.0
 
     def test_post_match_names_the_matcher_when_unrouted(self):
-        service = MatchService(StringSimMatcher(), max_wait_ms=1.0)
+        service = MatchService(StringSimMatcher())
         with MatchHTTPServer(service) as server:
             left, right = TRACE[0]
             status, body = _post(

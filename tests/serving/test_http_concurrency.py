@@ -95,7 +95,6 @@ class TestOverloadPartitioning:
             matcher,
             max_batch_size=1,
             max_queue=2,
-            max_wait_ms=0.0,
             default_budget_s=0.3,
         )
         with MatchHTTPServer(service) as running:
@@ -156,7 +155,7 @@ class TestOverloadPartitioning:
                 ),
             ],
         )
-        service = MatchService(_MidScorer(), router=router, max_wait_ms=0.5)
+        service = MatchService(_MidScorer(), router=router)
         with MatchHTTPServer(service) as running:
             payload = {"left": ["a"], "right": ["a"]}
             with ThreadPoolExecutor(max_workers=4) as pool:

@@ -103,8 +103,6 @@ class TestAdmissionControl:
         with pytest.raises(ConfigurationError):
             MicroBatcher(_doubler, max_batch_size=0)
         with pytest.raises(ConfigurationError):
-            MicroBatcher(_doubler, max_wait_ms=-1.0)
-        with pytest.raises(ConfigurationError):
             MicroBatcher(_doubler, max_queue=0)
 
 
@@ -134,6 +132,35 @@ class TestFailureDelivery:
         with pytest.raises(DeadlineExceededError):
             pending.result(timeout_s=0.01)
 
+    def test_a_raising_done_callback_does_not_stop_delivery(self):
+        batcher = MicroBatcher(_doubler, max_batch_size=3)
+        pending = [batcher.submit(i) for i in range(3)]
+        delivered = []
+
+        def boom(_pending):
+            raise RuntimeError("callback fell over")
+
+        pending[0].add_done_callback(boom)
+        for p in pending:
+            p.add_done_callback(delivered.append)
+        batcher.drain()
+        assert [p.result(0) for p in pending] == [0, 2, 4]
+        assert delivered == pending
+
+    def test_done_callback_runs_at_once_on_a_filled_slot(self):
+        pending = PendingResult(submitted_at=0.0)
+        pending.fulfil("value", completed_at=1.0)
+        seen = []
+        pending.add_done_callback(seen.append)
+        assert seen == [pending]
+
+    def test_a_timed_out_wait_leaves_the_slot_fillable(self):
+        pending = PendingResult(submitted_at=0.0)
+        with pytest.raises(DeadlineExceededError):
+            pending.result(timeout_s=0.001)
+        pending.fulfil("late", completed_at=1.0)
+        assert pending.result(0) == "late"
+
 
 class TestThreadedMode:
     def test_concurrent_submits_coalesce(self):
@@ -143,7 +170,7 @@ class TestThreadedMode:
             release.wait(5.0)
             return [item * 2 for item in items]
 
-        with MicroBatcher(gated, max_batch_size=8, max_wait_ms=50.0) as batcher:
+        with MicroBatcher(gated, max_batch_size=8) as batcher:
             pending = [batcher.submit(i) for i in range(8)]
             release.set()
             assert [p.result(5.0) for p in pending] == [i * 2 for i in range(8)]
@@ -154,10 +181,36 @@ class TestThreadedMode:
         assert counters["processed"] == 8
         assert 1 <= counters["batches"] <= 8
 
-    def test_max_wait_flushes_partial_batch(self):
-        with MicroBatcher(_doubler, max_batch_size=64, max_wait_ms=5.0) as batcher:
+    def test_lone_request_runs_on_a_frozen_clock(self):
+        """A partial batch runs as soon as the dispatcher is free.
+
+        The clock never advances, so a dispatcher that waited on it for
+        the batch to fill would never answer.
+        """
+        with MicroBatcher(_doubler, max_batch_size=64, clock=FakeClock()) as batcher:
             pending = batcher.submit(21)
             assert pending.result(5.0) == 42
+        assert batcher.counters()["batches"] == 1
+
+    def test_requests_queued_behind_a_running_batch_ride_the_next_one(self):
+        entered = threading.Event()
+        release = threading.Event()
+        seen_batches = []
+
+        def gated(items, budget):
+            seen_batches.append(list(items))
+            entered.set()
+            release.wait(5.0)
+            return [item * 2 for item in items]
+
+        with MicroBatcher(gated, max_batch_size=8) as batcher:
+            first = batcher.submit(0)
+            assert entered.wait(5.0)
+            queued = [batcher.submit(i) for i in range(1, 6)]
+            release.set()
+            assert first.result(5.0) == 0
+            assert [p.result(5.0) for p in queued] == [2, 4, 6, 8, 10]
+        assert seen_batches == [[0], [1, 2, 3, 4, 5]]
 
     def test_double_start_rejected(self):
         batcher = MicroBatcher(_doubler).start()

@@ -189,7 +189,7 @@ class TestAdmissionAndDeadlines:
 
     def test_deadline_bounds_the_callers_wait(self):
         matcher = _GatedMatcher()
-        with MatchService(matcher, max_wait_ms=0.0) as service:
+        with MatchService(matcher) as service:
             with pytest.raises(DeadlineExceededError):
                 service.match_pair(["a"], ["a"], budget_s=0.05)
             # Deadline expiries are their own counter, not generic errors.

@@ -115,3 +115,33 @@ def test_unretried_faults_degrade_instead_of_aborting(runs):
 def test_run_leaves_no_process_state(runs, label):
     assert runs[f"{label}.left_cache"] is None
     assert runs[f"{label}.environ_changed"] is False
+
+
+def test_failed_cells_keep_their_cache_activity_on_processes(tmp_path):
+    """Process workers report every failed cell's cache lookups.
+
+    Every cell fails at ``retries=0``, so each cell's cache counts ride
+    back only on its ``CellFailure``; the process backend, which sums
+    per-cell deltas, must count as many lookups as a serial run.  Its
+    workers fork their own cache copies, so an entry one worker wrote is
+    a miss in another: the split between hits and misses may differ.
+    """
+    cache_mod.deactivate()
+    settings = dict(
+        codes=_CODES, matchers=_MATCHERS, retries=0, faults=_FATAL_FAULTS,
+        use_cache=True,
+    )
+    serial = run_study(_CONFIG, tmp_path / "serial.json", **settings)
+    pooled = run_study(
+        _CONFIG, tmp_path / "pooled.json", workers=2, backend="process", **settings
+    )
+    assert pooled["runtime"]["cell_failures"]
+    serial_cache, pooled_cache = (
+        document["runtime"]["cache"] for document in (serial, pooled)
+    )
+    assert serial_cache["hits"] > 0 and pooled_cache["hits"] > 0
+    assert pooled_cache["hits"] <= serial_cache["hits"]
+    assert (
+        pooled_cache["hits"] + pooled_cache["misses"]
+        == serial_cache["hits"] + serial_cache["misses"]
+    )
