@@ -8,10 +8,11 @@ a *serving* subsystem here, in four parts:
   request across an ordered ladder of backends using calibrated
   confidence bands, under per-request and rolling token-dollar budgets.
 * :mod:`~repro.routing.drift` — a :class:`DriftMonitor` with bounded
-  streaming state (count-min sketch + reservoir sample) scores live
-  traffic against the :class:`RoutingProfile` captured at
-  artifact-export time: domain overlap and positive-rate skew, the two
-  signals the study found predictive of transfer quality.
+  streaming state (one count-min sketch per window) scores live traffic
+  against the :class:`RoutingProfile` captured at artifact-export time
+  (its vocabulary drawn by a seeded reservoir sample): domain overlap
+  and positive-rate skew, the two signals the study found predictive
+  of transfer quality.
 * :mod:`~repro.routing.shadow` — :class:`ShadowEvaluator` scores a
   candidate artifact on a deterministic fraction of live traffic and
   gates promotion on agreement with the primary.

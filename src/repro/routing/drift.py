@@ -12,17 +12,17 @@ was fitted on.  This module watches exactly those two signals online:
   travels inside the artifact manifest.
 * At serve time, a :class:`DriftMonitor` folds every routed pair into
   **bounded** streaming state — a fixed-width count-min sketch for token
-  membership/frequency and a fixed-capacity reservoir vocabulary sample;
-  no per-token dict ever grows with the stream — and, once per window,
+  membership/frequency, one scatter of cell indices per pair; no
+  per-token dict ever grows with the stream — and, once per window,
   compares the window against the profile: a windowed domain-overlap
   score and the positive-rate skew.  Threshold crossings emit
   :class:`DriftEvent` records into a bounded deque (and an obs span +
   counter), which ``GET /metrics`` surfaces.
 
 Everything is deterministic: token hashing is seeded ``crc32`` (never
-Python's per-process ``hash``), the reservoir's RNG is seeded at
-construction, and event timestamps come from the injectable clock — the
-same pair stream always produces the same scores and events.
+Python's per-process ``hash``), the profile's reservoir sample is drawn
+with a seeded RNG, and event timestamps come from the injectable clock —
+the same pair stream always produces the same scores and events.
 """
 
 from __future__ import annotations
@@ -77,22 +77,38 @@ class CountMinSketch:
         self.width = width
         self.depth = depth
         self._table = np.zeros((depth, width), dtype=np.int64)
+        #: Each row's crc32 seed, and the flat index of each row's first cell.
+        self._seeds = [row * 0x9E3779B1 & 0xFFFFFFFF for row in range(depth)]
+        self._row_starts = np.arange(0, depth * width, width, dtype=np.int64)[:, None]
         #: Total tokens added (the denominator for frequency estimates).
         self.total = 0
 
     def _columns(self, token: str) -> list[int]:
         """The per-row column indices of ``token`` (seeded crc32)."""
         data = token.encode("utf-8")
-        return [
-            zlib.crc32(data, row * 0x9E3779B1 & 0xFFFFFFFF) % self.width
-            for row in range(self.depth)
-        ]
+        return [zlib.crc32(data, seed) % self.width for seed in self._seeds]
 
     def add(self, token: str, count: int = 1) -> None:
         """Fold ``count`` occurrences of ``token`` into the sketch."""
-        for row, col in enumerate(self._columns(token)):
-            self._table[row, col] += count
-        self.total += count
+        self.add_all([token], count)
+
+    def add_all(self, tokens: Sequence[str], count: int = 1) -> None:
+        """Fold ``count`` occurrences of every token in ``tokens``.
+
+        The tokens' cells in every row go into one scatter of flat
+        indices (a token repeated in ``tokens`` counts each time), so
+        numpy is called once per call, not once per token and row.
+        """
+        data = [token.encode("utf-8") for token in tokens]
+        cells = np.array(
+            [zlib.crc32(item, seed) for seed in self._seeds for item in data],
+            dtype=np.int64,
+        )
+        cells.shape = (self.depth, len(data))
+        cells %= self.width
+        cells += self._row_starts
+        np.add.at(self._table.reshape(-1), cells.reshape(-1), count)
+        self.total += count * len(data)
 
     def estimate(self, token: str) -> int:
         """An upper-bound estimate of how often ``token`` was added."""
@@ -108,9 +124,8 @@ class ReservoirSample:
     """A fixed-capacity uniform sample of a token stream.
 
     Classic reservoir sampling with a construction-seeded RNG, so the
-    same stream yields the same sample.  Used for the window's side of
-    the vocabulary-overlap score (the profile's side is captured
-    offline).
+    same stream yields the same sample.  :func:`capture_profile` draws
+    the profile's vocabulary with it.
     """
 
     def __init__(self, capacity: int = 256, seed: int = 0) -> None:
@@ -256,10 +271,10 @@ class DriftMonitor:
     """Windowed drift scoring of a live pair stream against a profile.
 
     Every routed pair is :meth:`update`-d with its decided label; each
-    completed window of ``window`` pairs is scored and the streaming
-    state reset, so memory stays bounded by the sketch/reservoir sizes,
-    never the stream length.  ``min_overlap``/``max_skew`` are the
-    event thresholds; events land in a bounded deque (newest kept).
+    completed window of ``window`` pairs is scored and the sketch reset,
+    so memory stays bounded by the sketch size, never the stream length.
+    ``min_overlap``/``max_skew`` are the event thresholds; events land
+    in a bounded deque (newest kept).
     """
 
     #: How many threshold-crossing events are retained.
@@ -288,7 +303,6 @@ class DriftMonitor:
         self.max_skew = max_skew
         self.clock = clock or SystemClock()
         self._sketch = CountMinSketch(width=sketch_width, depth=sketch_depth)
-        self._reservoir = ReservoirSample(capacity=256, seed=0)
         self._window_pairs = 0
         self._window_positives = 0
         self._windows_completed = 0
@@ -304,9 +318,7 @@ class DriftMonitor:
         completes a window, else ``None``.
         """
         with span("drift.update") as update_span:
-            for token in pair_tokens(pair):
-                self._sketch.add(token)
-                self._reservoir.add(token)
+            self._sketch.add_all(pair_tokens(pair))
             self._window_pairs += 1
             self._window_positives += int(label == 1)
             self.pairs_seen += 1
@@ -321,7 +333,7 @@ class DriftMonitor:
             return scores
 
     def _close_window(self) -> DriftScores:
-        """Score the completed window, emit events, reset streaming state."""
+        """Score the completed window, emit events, reset the window."""
         self._windows_completed += 1
         vocabulary = self.profile.vocabulary
         if vocabulary:
@@ -351,7 +363,6 @@ class DriftMonitor:
                 threshold=self.max_skew, scores=scores, at_monotonic=now,
             ))
         self._sketch.reset()
-        self._reservoir.reset()
         self._window_pairs = 0
         self._window_positives = 0
         return scores

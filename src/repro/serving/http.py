@@ -42,25 +42,32 @@ is not UTF-8 JSON), an oversized body
 (:class:`~repro.errors.OverloadedError`) is 429 with a ``Retry-After``
 hint, a blown per-request deadline is 504, a method other than GET and
 POST is 501, anything else is 500 — each with a JSON body naming the
-error type.
+error type.  A reply sent before the request was read to its end (a 400
+on the head, a 413) half-closes the connection and discards what still
+arrives before closing it, so the client reads its error instead of a
+connection reset.
 
 The server speaks HTTP/1.0 (one request per connection, closed after
 the reply) from one :mod:`asyncio` event loop on a background thread.
-The loop parses requests, answers the GET endpoints itself, and admits
-each ``/match`` pair through
+Each connection is an :class:`asyncio.Protocol` that buffers what
+arrives and parses the head and body itself, answers the GET endpoints
+at once, and admits each ``/match`` pair through
 :meth:`MatchService.admit <repro.serving.service.MatchService.admit>`
-without blocking; the batcher's dispatcher thread fills the request's
-slot, whose done-callback wakes the loop.  So two threads serve a pair
-request however many clients are connected, and concurrent requests
-still coalesce inside the micro-batcher.  A candidate lookup blocks on
-a whole batch of candidates, so it runs on the loop's default thread
-pool.  No third-party web framework is involved anywhere.
+without blocking.  The batcher's dispatcher thread fills the pair's
+slot, whose done-callback queues it for the loop; only the first slot
+a batch fills wakes the loop, which then settles every queued slot in
+one callback.  So two threads serve a pair request however many
+clients are connected, and concurrent requests still coalesce inside
+the micro-batcher.  A candidate lookup blocks on a whole batch of
+candidates, so it runs on the loop's default thread pool.  No
+third-party web framework is involved anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextvars
 import functools
 import json
 import socket
@@ -83,27 +90,34 @@ __all__ = ["MatchHTTPServer", "main"]
 #: Largest request body accepted, in bytes (a single record pair is tiny).
 MAX_BODY_BYTES = 1 << 20
 
-#: Longest request or header line accepted, in bytes (the stream
-#: reader's limit).
+#: Longest request or header line accepted, in bytes.
 MAX_LINE_BYTES = 1 << 16
 
 #: Most header lines one request may carry.
 _MAX_HEADERS = 100
 
-#: Connections the kernel queues before the loop accepts them
-#: (socketserver's ``request_queue_size``).
-_BACKLOG = 5
+#: Connections the kernel queues before the loop accepts them — the
+#: default of ``socket.listen()``.  A connect beyond the queue waits a
+#: second or more for the kernel to retry it.
+_BACKLOG = 128
 
 #: The ``Retry-After`` hint (seconds) sent with 429 and unhealthy-503
 #: responses: long enough for a micro-batch queue to drain, short enough
 #: that a well-behaved client keeps its latency bounded.
 RETRY_AFTER_S = 1
 
-#: How much of an oversized body is drained before the 413 goes out —
-#: without the drain the client hits a broken pipe mid-upload and never
-#: sees the structured error; the cap keeps a hostile Content-Length
-#: from turning the courtesy into an unbounded read.
+#: After a reply that leaves request bytes unread, the connection
+#: discards what still arrives until the client's EOF, this many bytes or
+#: :data:`_DRAIN_S` seconds, whichever comes first, and then closes.
+#: Closing with input unread resets the connection, and the client may
+#: never read its error; the caps keep a hostile client from turning the
+#: courtesy into an unbounded read.
 _DRAIN_CAP_BYTES = 8 * MAX_BODY_BYTES
+_DRAIN_S = 1.0
+
+# A connection's states: reading its request, waiting for a slot or a
+# lookup to answer it, answered (closed, or draining before it closes).
+_READING, _WAITING, _ANSWERED = range(3)
 
 
 def _response(
@@ -147,115 +161,290 @@ def _not_found(target: str) -> bytes:
     return _json(404, {"error": "NotFound", "detail": target})
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """One request or header line (``b""`` at end of input)."""
-    try:
-        return await reader.readline()
-    except ValueError:  # the reader's limit: no newline in MAX_LINE_BYTES
-        raise ServingError(
-            f"request or header line longer than {MAX_LINE_BYTES} bytes"
-        ) from None
+class _Connection(asyncio.Protocol):
+    """One HTTP/1.0 connection: read its one request, answer it, close.
 
-
-async def _read_head(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, dict[str, str]] | None:
-    """``(method, target, headers)``, or ``None`` if the client sent nothing.
-
-    Header names are lower-cased; a line that is not ``Name: value``
-    raises :class:`~repro.errors.ServingError`, as does a request line
-    that is not ``METHOD TARGET HTTP/x``.
+    Bytes are buffered as they arrive and parsed line by line, then the
+    body.  A GET is answered at once; a ``/match`` pair is admitted and
+    waits in the server's table of slots until the dispatcher fills its
+    slot or its budget's timer answers 504.  The slot's done-callback is
+    the server's, so nothing the dispatcher holds refers to the
+    connection, and it is freed as soon as it closes.
     """
-    line = await _read_line(reader)
-    if not line:
-        return None
-    parts = line.decode("latin-1").split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise ServingError(f"malformed request line {line[:100]!r}")
-    headers: dict[str, str] = {}
-    while True:
-        line = await _read_line(reader)
-        if line in (b"\r\n", b"\n", b""):
-            return parts[0], parts[1], headers
-        name, colon, value = line.decode("latin-1").partition(":")
-        if not colon or not name.strip():
-            raise ServingError(f"malformed header line {line[:100]!r}")
-        if len(headers) >= _MAX_HEADERS:
-            raise ServingError(f"more than {_MAX_HEADERS} header lines")
-        headers[name.strip().lower()] = value.strip()
 
+    def __init__(self, server: "MatchHTTPServer") -> None:
+        """A connection of ``server``, before its transport is made."""
+        self._server = server
+        self.transport: asyncio.Transport | None = None
+        self._state = _READING
+        self._buffer = bytearray()
+        self._eof = False
+        #: The request line's method and target, once it is read.
+        self._method: str | None = None
+        self._target = ""
+        self._headers: dict[str, str] = {}
+        self._head_read = False
+        #: The declared body length once the head is read (``None`` also
+        #: when ``Content-Length`` is not an integer).
+        self._length: int | None = None
+        self._drained = 0
+        #: The /match pair in flight: its slot, budget, 504 timer and span.
+        self._pending: PendingResult | None = None
+        self._budget = None
+        self._timer: asyncio.TimerHandle | None = None
+        self._span = None
+        self._span_context: contextvars.Context | None = None
 
-async def _read_json(reader: asyncio.StreamReader, headers: dict[str, str]) -> dict:
-    """Parse the JSON request body (raises ServingError when bad)."""
-    declared = headers.get("content-length") or "0"
-    try:
-        length = int(declared)
-    except ValueError:
-        raise ServingError(
-            f"Content-Length {declared!r} is not an integer"
-        ) from None
-    if length > MAX_BODY_BYTES:
-        remaining = min(length, _DRAIN_CAP_BYTES)
-        while remaining > 0:
-            chunk = await reader.read(min(65536, remaining))
-            if not chunk:
-                break
-            remaining -= len(chunk)
-        raise PayloadTooLargeError(
-            f"request body is {length} bytes (limit {MAX_BODY_BYTES})"
-        )
-    if length <= 0:
-        raise ServingError(f"request body length {length} out of range")
-    try:
-        payload = json.loads(await reader.readexactly(length))
-    except asyncio.IncompleteReadError as error:
-        raise ServingError(
-            f"request body ended after {len(error.partial)} of {length} bytes"
-        ) from None
-    except ValueError as error:  # not JSON, or not UTF-8
-        raise ServingError(f"request body is not JSON: {error}") from None
-    if not isinstance(payload, dict):
-        raise ServingError("request body must be a JSON object")
-    return payload
+    # -- asyncio.Protocol ----------------------------------------------------
 
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        """Track the connection so :meth:`MatchHTTPServer.stop` can close it."""
+        self.transport = transport
+        self._server._open.add(self)
 
-def _release(waiter: asyncio.Future) -> None:
-    """Resolve ``waiter`` unless a timeout or a cancel got there first."""
-    if not waiter.done():
-        waiter.set_result(None)
+    def data_received(self, data: bytes) -> None:
+        """Parse the request as it arrives; discard input once answered."""
+        if self._state == _READING:
+            self._buffer += data
+            self._advance()
+        elif self._state == _ANSWERED:
+            self._drained += len(data)
+            if self._drained > _DRAIN_CAP_BYTES:
+                self.transport.close()
 
+    def eof_received(self) -> bool:
+        """End of input: the rest of the buffer is the request's last line."""
+        self._eof = True
+        if self._state == _READING:
+            self._advance()
+        elif self._state == _ANSWERED:
+            self.transport.close()  # a drain is over
+        return True  # keep the transport open for a reply still to come
 
-async def _delivered(pending: PendingResult, timeout_s: float | None) -> None:
-    """Wait on the running loop until ``pending`` is filled or ``timeout_s`` passes.
+    def connection_lost(self, exc: Exception | None) -> None:
+        """Forget the connection; a pair in flight is still settled and counted."""
+        self._server._open.discard(self)
 
-    The wait is shielded: the loop waits on a future of its own, so a
-    timeout or a cancelled connection ends only that wait, never the
-    slot the dispatcher fills.  A slot filled after the loop closed is
-    ignored — nobody is waiting for it any more.
-    """
-    loop = asyncio.get_running_loop()
-    waiter = loop.create_future()
+    # -- the request ---------------------------------------------------------
 
-    def wake(_pending: PendingResult) -> None:
+    def _advance(self) -> None:
+        """Parse what has arrived; answer once the request is complete."""
         try:
-            loop.call_soon_threadsafe(_release, waiter)
-        except RuntimeError:  # the loop is closed
-            pass
+            if not self._head_read:
+                if self._eof and not self._buffer and self._method is None:
+                    self._state = _ANSWERED
+                    self.transport.close()  # the client sent nothing
+                    return
+                if not self._read_head():
+                    return
+            if self._method == "GET":
+                self._reply(self._server._get(self._target, self._headers))
+            elif self._method != "POST":
+                self._reply(_json(
+                    501,
+                    {"error": "NotImplemented",
+                     "detail": f"unsupported method {self._method!r}"},
+                ))
+            elif self._target != "/match":
+                self._reply(_not_found(self._target))
+            else:
+                payload = self._read_body()
+                if payload is not None:
+                    self._match(payload)
+        except Exception as error:
+            self._reply(_error_response(error))
 
-    pending.add_done_callback(wake)
-    timer = None if timeout_s is None else loop.call_later(timeout_s, _release, waiter)
-    try:
-        await waiter
-    finally:
-        if timer is not None:
-            timer.cancel()
+    def _read_head(self) -> bool:
+        """Consume complete head lines; ``True`` once the blank line is read.
+
+        Header names are lower-cased.  A request line that is not
+        ``METHOD TARGET HTTP/x``, a header line that is not
+        ``Name: value``, a line longer than :data:`MAX_LINE_BYTES` or more
+        than :data:`_MAX_HEADERS` header lines raise
+        :class:`~repro.errors.ServingError`.
+        """
+        buffer = self._buffer
+        while True:
+            end = buffer.find(b"\n")
+            if end > MAX_LINE_BYTES or (end < 0 and len(buffer) > MAX_LINE_BYTES):
+                raise ServingError(
+                    f"request or header line longer than {MAX_LINE_BYTES} bytes"
+                )
+            if end < 0 and not self._eof:
+                return False
+            size = len(buffer) if end < 0 else end + 1
+            line = bytes(buffer[:size])
+            del buffer[:size]
+            if self._method is None:
+                parts = line.decode("latin-1").split()
+                if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+                    raise ServingError(f"malformed request line {line[:100]!r}")
+                self._method, self._target = parts[0], parts[1]
+                continue
+            if line in (b"\r\n", b"\n", b""):
+                self._head_read = True
+                try:
+                    self._length = int(self._headers.get("content-length") or "0")
+                except ValueError:
+                    self._length = None
+                return True
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not name.strip():
+                raise ServingError(f"malformed header line {line[:100]!r}")
+            if len(self._headers) >= _MAX_HEADERS:
+                raise ServingError(f"more than {_MAX_HEADERS} header lines")
+            self._headers[name.strip().lower()] = value.strip()
+
+    def _read_body(self) -> dict | None:
+        """The JSON body once all of it has arrived (``None`` until then)."""
+        length = self._length
+        if length is None:
+            declared = self._headers["content-length"]
+            raise ServingError(f"Content-Length {declared!r} is not an integer")
+        if length > MAX_BODY_BYTES:
+            raise PayloadTooLargeError(
+                f"request body is {length} bytes (limit {MAX_BODY_BYTES})"
+            )
+        if length <= 0:
+            raise ServingError(f"request body length {length} out of range")
+        if len(self._buffer) < length:
+            if not self._eof:
+                return None
+            raise ServingError(
+                f"request body ended after {len(self._buffer)} of {length} bytes"
+            )
+        try:
+            payload = json.loads(self._buffer[:length])
+        except ValueError as error:  # not JSON, or not UTF-8
+            raise ServingError(f"request body is not JSON: {error}") from None
+        if not isinstance(payload, dict):
+            raise ServingError("request body must be a JSON object")
+        return payload
+
+    def _match(self, payload: dict) -> None:
+        """Start serving one parsed /match payload."""
+        server = self._server
+        service = server.service
+        if "record" in payload:
+            top_k = payload.get("top_k", 10)
+            if not isinstance(top_k, int):
+                raise ServingError(f"top_k must be an integer, got {top_k!r}")
+            # A lookup blocks until its whole candidate batch is scored,
+            # so it runs on the loop's thread pool, not on the loop.
+            lookup = server._loop.run_in_executor(
+                None, functools.partial(service.lookup, payload["record"], top_k=top_k)
+            )
+            lookup.add_done_callback(self._looked_up)
+            self._state = _WAITING
+            return
+        if "left" not in payload or "right" not in payload:
+            raise ServingError('body must contain either "left"/"right" or "record"')
+        # The span stays open until the slot settles, in a callback the
+        # loop runs in another context, so it gets a context of its own.
+        self._span_context = contextvars.Context()
+        self._span = self._span_context.run(span("serving.match", pairs=1).__enter__)
+        try:
+            self._pending, self._budget = service.admit(payload["left"], payload["right"])
+        except Exception as error:
+            self._end_span(error)
+            raise
+        server._waiting[self._pending] = self
+        self._pending.add_done_callback(server._filled)
+        if self._budget is not None:
+            self._timer = server._loop.call_later(self._budget.remaining(), self._expire)
+        self._state = _WAITING
+
+    def _looked_up(self, lookup: asyncio.Future) -> None:
+        """Answer a candidate lookup from the thread pool's result."""
+        try:
+            matches = lookup.result()
+        except Exception as error:
+            self._reply(_error_response(error))
+            return
+        self._reply(_json(200, {
+            "matches": [
+                {
+                    "record_id": m.record.record_id,
+                    "values": list(m.record.values),
+                    "shared_tokens": m.shared_tokens,
+                }
+                for m in matches
+            ]
+        }))
+
+    def _expire(self) -> None:
+        """The budget ran out first: answer now; the slot is left to fill."""
+        self._timer = None
+        del self._server._waiting[self._pending]
+        self.settle()
+
+    def settle(self) -> None:
+        """Answer the pair from its slot: filled, or out of budget (504)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        try:
+            response = self._server.service.settle(self._pending, self._budget)
+        except Exception as error:
+            self._end_span(error)
+            self._reply(_error_response(error))
+            return
+        self._span.set(matched=response.matched)
+        self._end_span(None)
+        self._reply(_json(200, {
+            "label": response.label,
+            "matched": response.matched,
+            "latency_ms": round(1000.0 * response.latency_s, 3),
+            "backend": response.backend,
+            "escalated": response.escalated,
+            "spend_usd": response.spend_usd,
+            "budget_limited": response.budget_limited,
+            "breaker_open": response.breaker_open,
+            "backend_failed": response.backend_failed,
+            "deadline_limited": response.deadline_limited,
+        }))
+
+    def abandon(self) -> None:
+        """The server is stopping: this pair is never settled."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._end_span(asyncio.CancelledError())
+        self._server.service.stats.bump("abandoned")
+
+    def _end_span(self, error: BaseException | None) -> None:
+        """Close the pair's ``serving.match`` span, failed by ``error`` if given."""
+        self._span_context.run(
+            self._span.__exit__, None if error is None else type(error), error, None
+        )
+
+    def _reply(self, response: bytes) -> None:
+        """Send the one response, then close the connection.
+
+        A reply sent before the request was read to its end half-closes
+        instead and drains (see :data:`_DRAIN_CAP_BYTES`) before closing.
+        """
+        self._state = _ANSWERED
+        transport = self.transport
+        if transport.is_closing():
+            return  # the client hung up, or the server is stopping
+        transport.write(response)
+        unread = not self._eof and (
+            self._length is None or len(self._buffer) < self._length
+        )
+        if not unread:
+            transport.close()
+            return
+        transport.write_eof()
+        self._buffer = bytearray()
+        self._server._loop.call_later(_DRAIN_S, transport.close)
 
 
 class MatchHTTPServer:
     """HTTP/1.0 server for one :class:`MatchService`, on one event loop.
 
     Binds immediately (``port=0`` picks a free ephemeral port, the mode
-    the tests use) with ``SO_REUSEADDR`` and a listen backlog of 5;
+    the tests use) with ``SO_REUSEADDR`` and a listen backlog of 128;
     :meth:`start` runs the event loop on a background thread and also
     starts the service's dispatcher if it is not running yet.
     """
@@ -270,10 +459,15 @@ class MatchHTTPServer:
         self._address: tuple[str, int] = self._socket.getsockname()[:2]
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping: asyncio.Future | None = None
-        #: One task per open connection; the loop holds tasks weakly.
-        self._connections: set[asyncio.Task] = set()
         self._thread: threading.Thread | None = None
         self._owns_service = False
+        # The loop thread's alone: open connections, and the connection
+        # waiting on each /match slot in flight.
+        self._open: set[_Connection] = set()
+        self._waiting: dict[PendingResult, _Connection] = {}
+        #: Slots the dispatcher filled that the loop has not settled yet.
+        self._filled_slots: list[PendingResult] = []
+        self._filled_lock = threading.Lock()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -309,7 +503,7 @@ class MatchHTTPServer:
         """
         if self._thread is not None:
             try:
-                self._loop.call_soon_threadsafe(_release, self._stopping)
+                self._loop.call_soon_threadsafe(self._stopping.set_result, None)
             except RuntimeError:  # the loop already ended on an error
                 pass
             self._thread.join()
@@ -337,68 +531,50 @@ class MatchHTTPServer:
             loop.close()
 
     async def _serve(self) -> None:
-        """Accept connections until stopped; then cancel the open ones."""
-        server = await asyncio.start_server(
-            self._accepted, sock=self._socket, backlog=_BACKLOG,
-            limit=MAX_LINE_BYTES,
+        """Accept connections until stopped; then close the open ones."""
+        server = await self._loop.create_server(
+            functools.partial(_Connection, self), sock=self._socket, backlog=_BACKLOG
         )
         await self._stopping
         server.close()
-        # Connections, and accepts still being set up, end cancelled.
+        # Accepts still being set up end cancelled.
         current = asyncio.current_task()
-        pending = [t for t in asyncio.all_tasks() if t is not current]
-        for task in pending:
+        accepting = [task for task in asyncio.all_tasks() if task is not current]
+        for task in accepting:
             task.cancel()
-        await asyncio.gather(*pending, return_exceptions=True)
+        await asyncio.gather(*accepting, return_exceptions=True)
+        for connection in self._waiting.values():
+            connection.abandon()
+        self._waiting.clear()
+        for connection in list(self._open):
+            connection.transport.abort()
+        await asyncio.sleep(0)  # run the aborted transports' close callbacks
 
-    def _accepted(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve a new connection in a task this server keeps.
+    def _filled(self, pending: PendingResult) -> None:
+        """A slot's done-callback, on the dispatcher: queue it for the loop.
 
-        Handing ``start_server`` a plain function, not a coroutine, also
-        keeps asyncio from wrapping the task in a done-callback that logs
-        an error for every connection :meth:`stop` cancels.
+        Only a slot that finds the queue empty wakes the loop, so a batch
+        filled before the loop runs costs one wake-up.  A slot filled
+        after the loop closed is ignored: nobody is waiting for it.
         """
-        task = self._loop.create_task(self._connection(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer the one request of one connection, then close it."""
+        with self._filled_lock:
+            self._filled_slots.append(pending)
+            if len(self._filled_slots) > 1:
+                return
         try:
-            response = await self._respond(reader)
-            if response is not None:
-                writer.write(response)
-                await writer.drain()
-        except ConnectionError:
-            pass  # the client hung up; nobody is left to answer
-        finally:
-            writer.close()
+            self._loop.call_soon_threadsafe(self._settle_filled)
+        except RuntimeError:  # the loop is closed
+            pass
 
-    async def _respond(self, reader: asyncio.StreamReader) -> bytes | None:
-        """The response to the connection's request (``None``: no request)."""
-        try:
-            head = await _read_head(reader)
-            if head is None:
-                return None
-            method, target, headers = head
-            if method == "GET":
-                return self._get(target, headers)
-            if method != "POST":
-                return _json(
-                    501,
-                    {"error": "NotImplemented", "detail": f"unsupported method {method!r}"},
-                )
-            if target != "/match":
-                return _not_found(target)
-            return _json(200, await self._match(await _read_json(reader, headers)))
-        except ConnectionError:
-            raise
-        except Exception as error:
-            return _error_response(error)
+    def _settle_filled(self) -> None:
+        """On the loop: answer every connection whose slot was filled."""
+        with self._filled_lock:
+            filled, self._filled_slots = self._filled_slots, []
+        for pending in filled:
+            # None: its timer already answered 504, or the server stopped.
+            connection = self._waiting.pop(pending, None)
+            if connection is not None:
+                connection.settle()
 
     def _get(self, target: str, headers: dict[str, str]) -> bytes:
         """Serve /healthz, /metrics (JSON or Prometheus) and /router."""
@@ -422,55 +598,6 @@ class MatchHTTPServer:
         if path == "/router":
             return _json(200, self.service.router_state())
         return _not_found(target)
-
-    async def _match(self, payload: dict) -> dict:
-        """Serve one parsed /match payload."""
-        service = self.service
-        if "record" in payload:
-            top_k = payload.get("top_k", 10)
-            if not isinstance(top_k, int):
-                raise ServingError(f"top_k must be an integer, got {top_k!r}")
-            # A lookup blocks until its whole candidate batch is scored,
-            # so it waits on the loop's thread pool, not on the loop.
-            matches = await asyncio.get_running_loop().run_in_executor(
-                None, functools.partial(service.lookup, payload["record"], top_k=top_k)
-            )
-            return {
-                "matches": [
-                    {
-                        "record_id": m.record.record_id,
-                        "values": list(m.record.values),
-                        "shared_tokens": m.shared_tokens,
-                    }
-                    for m in matches
-                ]
-            }
-        if "left" in payload and "right" in payload:
-            with span("serving.match", pairs=1) as match_span:
-                pending, budget = service.admit(payload["left"], payload["right"])
-                try:
-                    await _delivered(
-                        pending, None if budget is None else budget.remaining()
-                    )
-                except asyncio.CancelledError:
-                    # The server is stopping; this slot is never settled.
-                    service.stats.bump("abandoned")
-                    raise
-                response = service.settle(pending, budget)
-                match_span.set(matched=response.matched)
-            return {
-                "label": response.label,
-                "matched": response.matched,
-                "latency_ms": round(1000.0 * response.latency_s, 3),
-                "backend": response.backend,
-                "escalated": response.escalated,
-                "spend_usd": response.spend_usd,
-                "budget_limited": response.budget_limited,
-                "breaker_open": response.breaker_open,
-                "backend_failed": response.backend_failed,
-                "deadline_limited": response.deadline_limited,
-            }
-        raise ServingError('body must contain either "left"/"right" or "record"')
 
 
 def main(argv: list[str] | None = None) -> None:

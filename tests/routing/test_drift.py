@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -23,6 +25,18 @@ def _pair(text: str, label: int = 0, pair_id: str = "p0"):
     return make_pair((text,), (text,), label=label, pair_id=pair_id)
 
 
+class _PerTokenSketch(CountMinSketch):
+    """The fold before the scatter: one numpy scalar increment per token and row."""
+
+    def add_all(self, tokens, count=1):
+        for token in tokens:
+            data = token.encode("utf-8")
+            for row in range(self.depth):
+                column = zlib.crc32(data, row * 0x9E3779B1 & 0xFFFFFFFF) % self.width
+                self._table[row, column] += count
+            self.total += count
+
+
 class TestPairTokens:
     def test_lowercased_both_sides(self):
         pair = make_pair(("Sony MDR",), ("Nikon Lens",), label=0)
@@ -37,6 +51,18 @@ class TestCountMinSketch:
         for i in range(7):
             assert sketch.estimate(f"token{i}") >= 100 // 7
         assert sketch.total == 100
+
+    def test_add_all_counts_repeats_and_matches_add(self):
+        batched = CountMinSketch(width=16, depth=3)
+        batched.add_all(["a", "b", "a", "a"])
+        one_by_one = CountMinSketch(width=16, depth=3)
+        for token in ["a", "b", "a", "a"]:
+            one_by_one.add(token)
+        assert np.array_equal(batched._table, one_by_one._table)
+        assert batched.total == one_by_one.total == 4
+        assert batched.estimate("a") >= 3
+        batched.add_all([])
+        assert batched.total == 4
 
     def test_exact_when_sparse(self):
         sketch = CountMinSketch(width=1024, depth=4)
@@ -180,6 +206,45 @@ class TestDriftMonitor:
                 monitor.update(pair, int(label))
             states.append(json.dumps(monitor.as_dict(), sort_keys=True))
         assert states[0] == states[1]
+
+    def test_scatter_fold_matches_the_per_token_fold(self):
+        """Same tables, states, scores and events over windows and a partial one."""
+        words = ["sony", "mdr", "headphones", "audio", "nikon", "lens", "kit", "drift"]
+        stream = [
+            (
+                make_pair(
+                    (" ".join(words[(i + k) % 8] for k in range(i % 5 + 1)), "Audio Audio"),
+                    (f"SKU{i % 4} {words[i % 8]}", "audio"),
+                    label=0,
+                    pair_id=f"p{i}",
+                ),
+                int(i % 3 == 0),
+            )
+            for i in range(29)
+        ]
+        clocks = FakeClock(), FakeClock()
+        scattered = DriftMonitor(
+            self._profile(), window=8, min_overlap=0.9, max_skew=0.1,
+            sketch_width=64, sketch_depth=3, clock=clocks[0],
+        )
+        per_token = DriftMonitor(
+            self._profile(), window=8, min_overlap=0.9, max_skew=0.1,
+            sketch_width=64, sketch_depth=3, clock=clocks[1],
+        )
+        per_token._sketch = _PerTokenSketch(width=64, depth=3)
+        for pair, label in stream:
+            for clock in clocks:
+                clock.advance(0.5)
+            assert scattered.update(pair, label) == per_token.update(pair, label)
+            assert np.array_equal(scattered._sketch._table, per_token._sketch._table)
+            assert scattered._sketch.total == per_token._sketch.total
+            assert scattered.as_dict() == per_token.as_dict()
+        assert scattered.as_dict()["windows_completed"] == 3
+        assert scattered.as_dict()["partial_window_pairs"] == 5
+        assert scattered._sketch.total > 0
+        assert scattered.last_scores == per_token.last_scores
+        assert list(scattered.events) == list(per_token.events)
+        assert len(scattered.events) > 0
 
     def test_validation(self):
         profile = self._profile()

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import asyncio
+import gc
 import http.client
 import json
+import logging
 import os
 import socket
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 import repro
 from repro.matchers.base import Matcher
 from repro.matchers.string_sim import StringSimMatcher
-from repro.serving.http import MAX_LINE_BYTES, MatchHTTPServer, _delivered
+from repro.serving.http import MAX_LINE_BYTES, MatchHTTPServer, _Connection
 from repro.serving.index import CandidateIndex
 from repro.serving.scheduler import MicroBatcher, PendingResult
 from repro.serving.service import MatchService
@@ -130,7 +131,8 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 404
+        with excinfo.value:
+            assert excinfo.value.code == 404
 
 
 class TestSaturation:
@@ -286,6 +288,13 @@ class TestMalformedRequests:
         assert status == 400
         assert body["error"] == "ServingError"
 
+    def test_line_far_over_the_limit_gets_its_400_and_a_clean_eof(self, server):
+        """Input still unread when the 400 goes out is drained, not reset."""
+        request = b"GET /" + b"a" * (256 * 1024) + b" HTTP/1.0\r\n\r\n"
+        status, body, _ = _raw(server, request)  # ConnectionResetError on a reset
+        assert status == 400
+        assert body["error"] == "ServingError"
+
     def test_unsupported_method_is_501_json(self, server):
         status, body, _ = _raw(server, b"PUT /match HTTP/1.0\r\n\r\n")
         assert status == 501
@@ -308,11 +317,11 @@ class TestEventLoopFrontEnd:
         """16 clients x 25 requests under fast thread switching: all 200.
 
         Each request goes out in one ``sendall``, as the e2e bench's
-        client sends it.  Sixteen clients overflow the listen backlog of
-        5, and on a host with SYN cookies on, a request that a client
-        splits over two segments (``urllib`` sends head and body
-        separately) is now and then reset by the kernel before any
-        server sees it, whatever serves the socket.
+        client sends it.  On a host with SYN cookies on, when connects
+        overflow the listen backlog, a request that a client splits over
+        two segments (``urllib`` sends head and body separately) is now
+        and then reset by the kernel before any server sees it, whatever
+        serves the socket.
         """
         matcher = StringSimMatcher()
         service = MatchService(matcher)
@@ -361,6 +370,19 @@ class TestEventLoopFrontEnd:
             counters[key] == 0 for key in ("shed", "timeouts", "errors", "abandoned")
         )
 
+    def test_connects_beyond_six_wait_in_the_backlog_not_on_a_retry(self):
+        """16 connects complete before the loop accepts any of them."""
+        running = MatchHTTPServer(MatchService(StringSimMatcher()))
+        clients = []
+        try:
+            for _ in range(16):
+                clients.append(socket.create_connection(running.address, timeout=0.5))
+        finally:
+            for client in clients:
+                client.close()
+            running.stop()
+        assert len(clients) == 16
+
     def test_idle_connection_does_not_delay_healthz(self, server):
         with socket.create_connection(server.address, timeout=10):
             started = time.monotonic()
@@ -396,52 +418,185 @@ class TestEventLoopFrontEnd:
         assert counters["abandoned"] + service.metrics()["latency"]["count"] == 1
 
 
+def _wait_until(condition, timeout_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _post_raw(running: MatchHTTPServer, left: list, right: list) -> tuple[int, dict]:
+    """One /match pair sent in one ``sendall``: (status, JSON body)."""
+    body = json.dumps({"left": left, "right": right}).encode()
+    status, reply, _ = _raw(
+        running,
+        b"POST /match HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(body) + body,
+    )
+    return status, reply
+
+
 class TestDeliveryToTheLoop:
-    """The loop waits on its own future, never on the dispatcher's slot."""
+    """The loop settles filled slots; a slot never waits on the loop."""
 
     def test_timed_out_wait_leaves_the_slot_for_the_dispatcher(self):
-        pending = PendingResult(submitted_at=0.0)
-        asyncio.run(_delivered(pending, timeout_s=0.01))
-        assert not pending.done
-        pending.fulfil("late", completed_at=1.0)  # must not raise
-        assert pending.result(0) == "late"
+        """A slot the dispatcher fills after its 504 timer answered is ignored."""
+        matcher = _GatedMatcher()
+        service = MatchService(matcher, default_budget_s=0.05)
+        with MatchHTTPServer(service) as running:
+            status, body = _post_raw(running, ["a"], ["a"])
+            assert status == 504
+            assert body["error"] == "DeadlineExceededError"
+            matcher.release.set()
+            assert _wait_until(lambda: service._batcher.counters()["processed"] == 1)
+            assert _wait_until(lambda: not running._filled_slots)
+            assert running._waiting == {}
+            assert _get(running.url, "/healthz")[0] == 200
+        assert service.metrics()["counters"]["timeouts"] == 1
+        assert service.metrics()["latency"]["count"] == 0
 
-    def test_cancelled_wait_leaves_the_slot_for_the_dispatcher(self):
-        pending = PendingResult(submitted_at=0.0)
+    def test_cancelled_wait_leaves_the_slot_for_the_dispatcher(self, caplog):
+        """A connection closed by stop() leaves its slot fillable without error."""
+        matcher = _GatedMatcher()
+        outcome: list = []
 
-        async def cancel_the_wait() -> None:
-            waiting = asyncio.ensure_future(_delivered(pending, timeout_s=None))
-            await asyncio.sleep(0)
-            waiting.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await waiting
+        def client() -> None:
+            try:
+                outcome.append(_post_raw(running, ["a"], ["a"]))
+            except (OSError, IndexError) as error:  # reset, or closed unanswered
+                outcome.append(error)
 
-        asyncio.run(cancel_the_wait())
-        pending.fulfil("late", completed_at=1.0)
-        assert pending.result(0) == "late"
+        with MatchService(matcher) as service:
+            running = MatchHTTPServer(service).start()
+            requester = threading.Thread(target=client)
+            requester.start()
+            assert matcher.entered.wait(5.0)
+            # The dispatcher can enter the batch before the loop files the slot.
+            assert _wait_until(lambda: len(running._waiting) == 1)
+            (pending,) = list(running._waiting)
+            running.stop()
+            with caplog.at_level(logging.ERROR):
+                matcher.release.set()
+                assert _wait_until(lambda: pending.done)
+            requester.join(5.0)
+            assert outcome and not requester.is_alive()
+        assert pending.result(0).label == 0
+        assert service._batcher.counters()["batch_errors"] == 0
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert service.metrics()["counters"]["abandoned"] == 1
 
-    def test_batch_finishing_after_the_loop_closed_is_ignored(self):
+    def test_batch_finishing_after_the_loop_closed_is_ignored(self, caplog):
+        running = MatchHTTPServer(MatchService(StringSimMatcher())).start()
+        running.stop()
         batcher = MicroBatcher(lambda items, budget: items)
         pending = [batcher.submit(i) for i in range(2)]
-        loop = asyncio.new_event_loop()
-        try:
-            loop.run_until_complete(_delivered(pending[0], timeout_s=0.01))
-        finally:
-            loop.close()
-        assert batcher.drain() == 1  # delivering to the closed loop raises nothing
+        for slot in pending:
+            slot.add_done_callback(running._filled)
+        with caplog.at_level(logging.ERROR):
+            assert batcher.drain() == 1  # delivering to the closed loop raises nothing
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert [p.result(0) for p in pending] == [0, 1]
 
     def test_delivered_slot_wakes_the_loop(self):
-        with MicroBatcher(lambda items, budget: items) as batcher:
+        settled = threading.Event()
+
+        class Waiting:
+            def settle(self) -> None:
+                settled.set()
+
+        gate = threading.Event()
+        with MatchHTTPServer(MatchService(StringSimMatcher())) as running, MicroBatcher(
+            lambda items, budget: items if gate.wait(10.0) else []
+        ) as batcher:
             pending = batcher.submit(7)
+            registered = threading.Event()
 
-            async def wait() -> float:
-                started = time.monotonic()
-                await _delivered(pending, timeout_s=30.0)
-                return time.monotonic() - started
+            def register() -> None:
+                running._waiting[pending] = Waiting()
+                registered.set()
 
-            assert asyncio.run(wait()) < 5.0
+            running._loop.call_soon_threadsafe(register)
+            assert registered.wait(5.0)
+            pending.add_done_callback(running._filled)
+            gate.set()
+            assert settled.wait(5.0)
         assert pending.result(0) == 7
+
+    def test_a_batch_of_eight_wakes_the_loop_once(self):
+        matcher = _GatedMatcher()
+        service = MatchService(matcher, max_batch_size=32)
+        with MatchHTTPServer(service) as running:
+            loop = running._loop
+            wakes = []
+            call_soon_threadsafe = loop.call_soon_threadsafe
+
+            def counting(callback, *args):
+                if threading.current_thread().name == "repro-microbatch":
+                    wakes.append(callback)
+                return call_soon_threadsafe(callback, *args)
+
+            loop.call_soon_threadsafe = counting
+            # A pair submitted past the front-end holds the dispatcher,
+            # so the next eight pairs queue and ride one batch.
+            service._batcher.submit(service.make_pair(["x"], ["x"]))
+            assert matcher.entered.wait(5.0)
+            results: dict[int, tuple[int, dict]] = {}
+
+            def client(i: int) -> None:
+                results[i] = _post_raw(running, [f"a{i}"], [f"a{i}"])
+
+            clients = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+            for thread in clients:
+                thread.start()
+            assert _wait_until(lambda: service._batcher.queue_depth == 8)
+            # Hold the loop while the batch is delivered, so that how the
+            # two threads interleave cannot change the count.
+            held, release_loop = threading.Event(), threading.Event()
+
+            def hold() -> None:
+                held.set()
+                release_loop.wait(10.0)
+
+            call_soon_threadsafe(hold)
+            assert held.wait(5.0)
+            matcher.release.set()
+            assert _wait_until(lambda: service._batcher.counters()["processed"] == 9)
+            release_loop.set()
+            for thread in clients:
+                thread.join(10.0)
+                assert not thread.is_alive()
+        assert len(wakes) == 1
+        assert service._batcher.counters()["batches"] == 2
+        assert sorted(results) == list(range(8))
+        assert all(status == 200 for status, _ in results.values())
+
+    def test_served_connections_are_freed_without_the_collector(self):
+        """No request leaves a reference cycle through its connection.
+
+        The client reads its EOF while the loop is still closing the
+        transport, so the last connection is waited for; with the
+        collector off, one caught in a cycle is never freed.
+        """
+        gc.collect()
+        gc.disable()
+        try:
+            with MatchHTTPServer(MatchService(StringSimMatcher())) as running:
+                for i in range(200):
+                    if i % 10 == 9:
+                        assert _raw(running, b"GET /healthz HTTP/1.0\r\n\r\n")[0] == 200
+                    else:
+                        assert _post_raw(running, [f"s{i % 3}"], ["s1"])[0] == 200
+
+                def alive() -> list[_Connection]:
+                    return [
+                        o for o in gc.get_objects()
+                        if isinstance(o, _Connection) and o._server is running
+                    ]
+
+                assert _wait_until(lambda: not alive()), f"{len(alive())} alive"
+        finally:
+            gc.enable()
 
 
 class TestStartup:
