@@ -1,23 +1,25 @@
 """Inference fast-path bench: fused no-grad kernels vs the autograd path.
 
 For each surrogate family (encoder, MoE, decoder, seq2seq) a smoke-scale
-model runs the same variable-length batched workload through
-``predict_proba`` twice:
+model scores the same variable-length batched workload twice:
 
-* **reference** — the autograd ``Tensor`` path used for training:
-  float64, a graph node and backward closure per sub-layer, every batch
-  padded to the global ``max_len``.  Its forward arithmetic is the same
-  :mod:`repro.nn.fastpath` kernels, so a kernel speed-up moves both sides
-  of the ratio;
-* **fast** — the :mod:`repro.nn.fastpath` kernels with no graph, float32
-  weights and length-bucketed batching (the defaults for predict/serving).
+* **reference** — the autograd ``Tensor`` forward ``model(ids, pad_mask,
+  shared)`` used for training: float64, a graph node and backward closure
+  per sub-layer, fixed batches padded to the global ``max_len``.  Its
+  forward arithmetic is the same :mod:`repro.nn.fastpath` kernels, so a
+  kernel speed-up moves both sides of the ratio;
+* **fast** — ``predict_proba``, the one inference path: the
+  :mod:`repro.nn.fastpath` kernels with no graph, float32 weights and
+  length-bucketed batches.
 
-Parity is asserted before any throughput is reported: a float64
-fast-path pass must reproduce the reference probabilities **bit for
-bit**, and the float32 pass must stay within the tolerance documented in
-``repro.nn.fastpath``.  An end-to-end section repeats the comparison
-through a fitted Ditto matcher's ``match_scores`` so the speedup covers
-the full matcher path, not just the model call.
+Parity is asserted before any throughput is reported: ``infer_logits``
+at float64 over the reference's batches must reproduce the reference
+probabilities **bit for bit**, and the float32 pass must stay within the
+tolerance documented in ``repro.nn.fastpath``.  An end-to-end section
+repeats the comparison through a fitted Ditto matcher's ``match_scores``
+(with ``repro.matchers.ditto``'s ``predict_proba`` binding swapped for the
+reference) so the speedup covers the full matcher path, not just the
+model call.
 
 The aggregate speedup is compared against the ``floor`` recorded in
 ``BENCH_inference.json`` at the repository root — CI fails if a change
@@ -33,13 +35,15 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.config import StudyConfig, SurrogateScale, inference_overrides
+import repro.matchers.ditto as ditto_module
+from repro.config import StudyConfig, SurrogateScale
 from repro.data import build_dataset
 from repro.matchers.ditto import DittoMatcher
 from repro.models import (
@@ -49,7 +53,8 @@ from repro.models import (
     Seq2SeqClassifier,
 )
 from repro.models.training import EncodedPairs, predict_proba
-from repro.nn import fastpath
+from repro.nn import fastpath, no_grad
+from repro.nn import functional as F
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _OUT_PATH = _REPO_ROOT / "BENCH_inference.json"
@@ -59,10 +64,57 @@ _SPEEDUP_FLOOR = 1.5
 
 _FAMILIES = ("encoder", "moe", "decoder", "seq2seq")
 
-#: Reference knobs = prediction through the autograd ``Tensor`` forward.
-_REFERENCE = dict(fast_path=False, float32=False, bucket_by_length=False)
-#: Fast knobs = the shipped defaults for predict/serving.
-_FAST = dict(fast_path=True, float32=True, bucket_by_length=True)
+#: The batch size ``predict_proba`` uses when a matcher calls it.
+_MATCHER_BATCH_SIZE = 128
+
+
+def _fixed_batches(n: int, batch_size: int):
+    """Contiguous index batches in input order (no length bucketing)."""
+    return [np.arange(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+
+
+def reference_proba(
+    model, data: EncodedPairs, batch_size: int = _MATCHER_BATCH_SIZE
+) -> np.ndarray:
+    """P(match) from the float64 autograd forward over fixed batches."""
+    model.eval()
+    out = np.zeros(len(data))
+    with no_grad():
+        for idx in _fixed_batches(len(data), batch_size):
+            batch = data.take(idx)
+            logits = model(batch.ids, batch.pad_mask, batch.shared)
+            out[idx] = F.softmax(logits, axis=-1).numpy()[:, 1]
+    return out
+
+
+def float64_kernel_proba(
+    model, data: EncodedPairs, batch_size: int = _MATCHER_BATCH_SIZE
+) -> np.ndarray:
+    """P(match) from float64 ``infer_logits`` over the reference's batches."""
+    model.eval()
+    out = np.zeros(len(data))
+    for idx in _fixed_batches(len(data), batch_size):
+        batch = data.take(idx)
+        logits = model.infer_logits(batch.ids, batch.pad_mask, batch.shared, dtype=np.float64)
+        out[idx] = fastpath.softmax_(logits)[:, 1]
+    return out
+
+
+def _within_float32_tolerance(fast: np.ndarray, reference: np.ndarray) -> bool:
+    return bool(np.allclose(
+        fast, reference, rtol=fastpath.FLOAT32_RTOL, atol=fastpath.FLOAT32_ATOL
+    ))
+
+
+@contextmanager
+def _ditto_scores_with(proba):
+    """Swap the ``predict_proba`` binding Ditto scores through."""
+    shipped = ditto_module.predict_proba
+    ditto_module.predict_proba = proba
+    try:
+        yield
+    finally:
+        ditto_module.predict_proba = shipped
 
 
 def _build_model(family: str, scale: SurrogateScale, rng: np.random.Generator):
@@ -107,20 +159,20 @@ def _bench_family(
     data = _workload(scale, n_pairs, rng)
     tokens = float((~data.pad_mask).sum())
 
-    def run(knobs):
-        return lambda: predict_proba(model, data, batch_size=batch_size, **knobs)
+    def run(proba):
+        return lambda: proba(model, data, batch_size=batch_size)
 
     # Warm mask/cast caches before any timed pass.
-    run(_FAST)()
-    reference, reference_s = _best_time(run(_REFERENCE), repeats)
-    fast, fast_s = _best_time(run(_FAST), repeats)
-    exact, _ = _best_time(run(dict(fast_path=True, float32=False, bucket_by_length=False)), 1)
+    run(predict_proba)()
+    reference, reference_s = _best_time(run(reference_proba), repeats)
+    fast, fast_s = _best_time(run(predict_proba), repeats)
+    exact, _ = _best_time(run(float64_kernel_proba), 1)
 
     assert np.array_equal(reference, exact), (
         f"{family}: float64 fast path is not byte-identical to the reference path"
     )
     fp32_delta = float(np.max(np.abs(fast - reference)))
-    assert fp32_delta <= fastpath.FLOAT32_ATOL, (
+    assert _within_float32_tolerance(fast, reference), (
         f"{family}: float32 drift {fp32_delta} exceeds documented tolerance"
     )
     return {
@@ -156,23 +208,22 @@ def _bench_end_to_end(smoke: bool, repeats: int) -> dict:
     dataset, _world = build_dataset("BEER", 0.1 if smoke else 0.25, seed=7)
     pairs = dataset.pairs
 
-    def run(knobs):
+    def run(proba):
         def call():
-            with inference_overrides(**knobs):
+            with _ditto_scores_with(proba):
                 return matcher.match_scores(pairs, serialization_seed=0)
         return call
 
-    run(dict(fast_path=True, float32=True, bucketing=True))()
-    reference, reference_s = _best_time(run(dict(fast_path=False, float32=False,
-                                                 bucketing=False)), repeats)
-    fast, fast_s = _best_time(run(dict(fast_path=True, float32=True, bucketing=True)), repeats)
-    exact, _ = _best_time(run(dict(fast_path=True, float32=False, bucketing=False)), 1)
+    run(predict_proba)()
+    reference, reference_s = _best_time(run(reference_proba), repeats)
+    fast, fast_s = _best_time(run(predict_proba), repeats)
+    exact, _ = _best_time(run(float64_kernel_proba), 1)
 
     assert np.array_equal(reference, exact), (
         "end-to-end: float64 fast path is not byte-identical to the reference path"
     )
     fp32_delta = float(np.max(np.abs(fast - reference)))
-    assert fp32_delta <= fastpath.FLOAT32_ATOL
+    assert _within_float32_tolerance(fast, reference)
     return {
         "matcher": matcher.display_name,
         "pairs": len(pairs),

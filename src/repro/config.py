@@ -29,8 +29,6 @@ retried, faulted or fatal, never the values a finished cell reports.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -161,97 +159,6 @@ PROFILES: dict[str, StudyConfig] = {
         surrogate=SurrogateScale(d_model=96, n_layers=4, n_heads=8, d_ff=192, max_len=128),
     ),
 }
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    """Knobs for the no-grad inference fast path (:mod:`repro.nn.fastpath`).
-
-    All three default **on** for prediction and serving; training is never
-    affected (the fast path only engages inside ``predict_proba`` and the
-    serving stack, both of which run models in eval mode).
-
-    ``fast_path``
-        Route eval forwards through the fused ndarray kernels instead of
-        the autograd ``Tensor`` machinery.  At float64 this is
-        byte-identical to the reference path.
-    ``float32``
-        Run the fast path in single precision (weights cast once and
-        cached).  Logits then match float64 within the tolerance
-        documented at :data:`repro.nn.fastpath.FLOAT32_RTOL`; flip off
-        for byte-exact study reproduction.
-    ``bucketing``
-        Sort batches by token length so short pairs are not padded to the
-        longest pair in the workload (outputs are restored to input
-        order; predictions are unchanged).
-    """
-
-    fast_path: bool = True
-    float32: bool = True
-    bucketing: bool = True
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    """Parse a 0/1/true/false environment override."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"{name} must be boolean-like, got {raw!r}")
-
-
-_INFERENCE_OVERRIDE: list[InferenceConfig | None] = [None]
-
-
-def get_inference_config() -> InferenceConfig:
-    """The active inference configuration.
-
-    Resolution order: an :func:`inference_overrides` context, then the
-    ``REPRO_FAST_PATH`` / ``REPRO_INFER_FP32`` / ``REPRO_LENGTH_BUCKETS``
-    environment variables, then the defaults (all on).
-    """
-    if _INFERENCE_OVERRIDE[0] is not None:
-        return _INFERENCE_OVERRIDE[0]
-    default = InferenceConfig()
-    return InferenceConfig(
-        fast_path=_env_flag("REPRO_FAST_PATH", default.fast_path),
-        float32=_env_flag("REPRO_INFER_FP32", default.float32),
-        bucketing=_env_flag("REPRO_LENGTH_BUCKETS", default.bucketing),
-    )
-
-
-def set_inference_config(config: InferenceConfig | None) -> None:
-    """Install (or with ``None`` clear) a process-wide inference override."""
-    _INFERENCE_OVERRIDE[0] = config
-
-
-@contextmanager
-def inference_overrides(
-    fast_path: bool | None = None,
-    float32: bool | None = None,
-    bucketing: bool | None = None,
-):
-    """Temporarily override inference knobs (tests and benchmarks).
-
-    >>> with inference_overrides(float32=False):
-    ...     get_inference_config().float32
-    False
-    """
-    base = get_inference_config()
-    previous = _INFERENCE_OVERRIDE[0]
-    _INFERENCE_OVERRIDE[0] = InferenceConfig(
-        fast_path=base.fast_path if fast_path is None else fast_path,
-        float32=base.float32 if float32 is None else float32,
-        bucketing=base.bucketing if bucketing is None else bucketing,
-    )
-    try:
-        yield _INFERENCE_OVERRIDE[0]
-    finally:
-        _INFERENCE_OVERRIDE[0] = previous
 
 
 def get_profile(name: str) -> StudyConfig:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import StudyConfig, get_inference_config
+from ..config import StudyConfig
 from ..data.pairs import EMDataset, RecordPair
 from ..data.registry import JELLYFISH_SEEN
 from ..llm.client import LLMClient, LLMRequest
@@ -42,13 +42,10 @@ class JellyfishMatcher(Matcher):
     #: Datasets whose scores must be bracketed (seen during training).
     seen_datasets = JELLYFISH_SEEN
 
-    def __init__(self, client: LLMClient, bucket_by_length: bool | None = None) -> None:
-        """``bucket_by_length`` defaults to the active inference config."""
+    def __init__(self, client: LLMClient) -> None:
+        """Prompt ``client``, one pair at a time."""
         super().__init__()
         self.client = client
-        if bucket_by_length is None:
-            bucket_by_length = get_inference_config().bucketing
-        self.bucket_by_length = bucket_by_length
 
     def _fit(self, transfer: list[EMDataset], config: StudyConfig, seed: int) -> None:
         """Jellyfish arrives pre-instruction-tuned; nothing to fit."""
@@ -58,18 +55,10 @@ class JellyfishMatcher(Matcher):
         for pair in pairs:
             left, right = pair_text(pair, serialization_seed)
             prompts.append(f"{_INSTRUCTION}\n\n{build_match_prompt(left, right)}")
-        # Submit in ascending prompt-length order (a batched backend pads
-        # each batch to its longest member), scattering predictions back
-        # to input order.  Safe to reorder: the simulated service answers
-        # each prompt as a pure function of its content, and fault
-        # injection keys on the request, not the call sequence.  A typed
-        # LLM error still propagates for retry classification upstream.
-        if self.bucket_by_length:
-            order = sorted(range(len(prompts)), key=lambda i: len(prompts[i].split()))
-        else:
-            order = range(len(prompts))
+        # One call per prompt, in input order; a typed LLM error propagates
+        # for retry classification upstream.
         predictions = np.zeros(len(prompts), dtype=np.int64)
-        for index in order:
-            response = self.client.complete(LLMRequest(prompt=prompts[index]))
+        for index, prompt in enumerate(prompts):
+            response = self.client.complete(LLMRequest(prompt=prompt))
             predictions[index] = parse_answer(response.text)
         return predictions

@@ -166,12 +166,11 @@ class UnicornMatcher(Matcher):
     def match_scores(
         self, pairs: list[RecordPair], serialization_seed: int | None = None
     ) -> np.ndarray:
-        """Match probabilities; scoring follows the active inference config.
+        """Match probabilities from :func:`~repro.models.training.predict_proba`.
 
-        ``predict_proba`` routes through the fused no-grad kernels with
-        float32 weights and length-bucketed batches by default (see
-        :class:`repro.config.InferenceConfig`); predictions are identical
-        to the autograd reference path.
+        The fused no-grad kernels run in float32 over length-sorted
+        batches; scores agree with the float64 autograd forward within
+        ``FLOAT32_RTOL``/``FLOAT32_ATOL`` (see :mod:`repro.nn.fastpath`).
         """
         data = encode_pairs(
             pairs, self._vocab, self._max_len,

@@ -6,12 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import StudyConfig, get_inference_config
-from ..errors import MatcherError
-from ..nn import AdamW, LinearWarmupSchedule, Module, clip_grad_norm, fastpath, no_grad
+from ..config import StudyConfig
+from ..errors import ConfigurationError, MatcherError
+from ..nn import AdamW, LinearWarmupSchedule, Module, clip_grad_norm, fastpath
 from ..nn import functional as F
 from ..obs.trace import span
-from ..runtime.chunks import length_buckets
 
 __all__ = ["EncodedPairs", "train_classifier", "predict_proba"]
 
@@ -83,80 +82,58 @@ def train_classifier(
     return epoch_losses
 
 
-def predict_proba(
-    model: Module,
-    data: EncodedPairs,
-    batch_size: int = 128,
-    *,
-    fast_path: bool | None = None,
-    float32: bool | None = None,
-    bucket_by_length: bool | None = None,
-) -> np.ndarray:
+def length_buckets(lengths: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """Index batches grouping items of similar length (padding reduction).
+
+    Items are stable-sorted by ``lengths`` and cut into consecutive groups
+    of ``batch_size``, so each batch only pays for its own longest member
+    instead of the global maximum.  The concatenation of the returned
+    index arrays is a permutation of ``range(len(lengths))``; callers
+    scatter results back through it to restore submission order.
+
+    >>> [list(b) for b in length_buckets([5, 1, 4, 2], 2)]
+    [[1, 3], [2, 0]]
+    """
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    order = np.argsort(np.asarray(lengths), kind="stable")
+    return [order[start:start + batch_size] for start in range(0, order.size, batch_size)]
+
+
+def predict_proba(model: Module, data: EncodedPairs, batch_size: int = 128) -> np.ndarray:
     """Match probabilities P(label=1) for each pair, shape (n,).
 
-    The three keyword knobs default to the active
-    :class:`repro.config.InferenceConfig`:
-
-    * ``fast_path`` routes models exposing ``infer_logits`` through the
-      fused no-grad kernels of :mod:`repro.nn.fastpath` (byte-identical
-      probabilities at float64).
-    * ``float32`` runs the fast path in single precision (see the
-      tolerance documented in :mod:`repro.nn.fastpath`).
-    * ``bucket_by_length`` groups pairs of similar token length and trims
-      each batch to its own longest member, instead of padding everything
-      to the global ``max_len``.  Results are scattered back to input
-      order, so the returned array lines up with ``data`` as before.
+    The one inference path: pairs are grouped by token length
+    (:func:`length_buckets`), each batch is trimmed to its own longest
+    member, and ``model.infer_logits`` runs the fused no-grad kernels of
+    :mod:`repro.nn.fastpath` in float32.  The probabilities agree with
+    the float64 autograd forward ``model(ids, pad_mask, shared)`` within
+    ``FLOAT32_RTOL``/``FLOAT32_ATOL`` and are scattered back to input
+    order, so the returned array lines up with ``data``.
     """
     model.eval()
-    config = get_inference_config()
-    if fast_path is None:
-        fast_path = config.fast_path
-    if float32 is None:
-        float32 = config.float32
-    if bucket_by_length is None:
-        bucket_by_length = config.bucketing
-    use_fast = fast_path and hasattr(model, "infer_logits")
-    dtype = np.float32 if (use_fast and float32) else np.float64
-
     n = len(data)
     if n == 0:
         return np.zeros(0)
-    if bucket_by_length:
-        lengths = (~data.pad_mask).sum(axis=1)
-        batches = length_buckets(lengths, batch_size)
-    else:
-        batches = [
-            np.arange(start, min(start + batch_size, n))
-            for start in range(0, n, batch_size)
-        ]
-
+    batches = length_buckets((~data.pad_mask).sum(axis=1), batch_size)
     out = np.zeros(n)
     with span(
         "infer.logits",
         model=type(model).__name__,
         pairs=n,
         batches=len(batches),
-        fast_path=bool(use_fast),
-        dtype=np.dtype(dtype).name,
+        dtype="float32",
     ):
-        with no_grad():
-            for idx in batches:
-                batch = data.take(idx)
-                ids, pad_mask, shared = batch.ids, batch.pad_mask, batch.shared
-                if bucket_by_length:
-                    # Trim pure-padding columns: every row keeps at least one
-                    # attended position (the encoders guarantee column 0), and
-                    # fully-masked keys contribute exactly zero attention
-                    # weight, so trimming never changes the kept outputs.
-                    width = max(1, int((~pad_mask).sum(axis=1).max(initial=0)))
-                    ids = ids[:, :width]
-                    pad_mask = pad_mask[:, :width]
-                    shared = shared[:, :width] if shared is not None else None
-                if use_fast:
-                    logits = model.infer_logits(ids, pad_mask, shared, dtype=dtype)
-                    probs = fastpath.softmax_(logits)
-                else:
-                    logits = model(ids, pad_mask, shared)
-                    probs = F.softmax(logits, axis=-1).numpy()
-                out[idx] = probs[:, 1]
+        for idx in batches:
+            batch = data.take(idx)
+            # Trim pure-padding columns: every row keeps at least one
+            # attended position (the encoders guarantee column 0), and
+            # fully-masked keys contribute exactly zero attention weight,
+            # so trimming never changes the kept outputs.
+            width = max(1, int((~batch.pad_mask).sum(axis=1).max(initial=0)))
+            shared = batch.shared[:, :width] if batch.shared is not None else None
+            logits = model.infer_logits(
+                batch.ids[:, :width], batch.pad_mask[:, :width], shared, dtype=np.float32
+            )
+            out[idx] = fastpath.softmax_(logits)[:, 1]
     return out

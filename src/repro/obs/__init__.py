@@ -10,8 +10,8 @@ of them has — *which stage of which request spent the time*:
 * :mod:`repro.obs.trace` — the :func:`span` context manager with
   contextvars parent/child propagation, buffered in memory and exported
   as self-checksummed JSONL through the crash-safe atomic writers.
-  Instrumented sites span grid cells, LLM request retries, batch
-  chunks, scheduler flushes, serving requests and fast-path inference.
+  Instrumented sites span grid cells, LLM request retries, LLM
+  batches, scheduler flushes, serving requests and fast-path inference.
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry`: thread-safe
   counters, gauges and fixed-bucket histograms with a deterministic
   snapshot/merge API (counter and histogram merges are associative).

@@ -2,7 +2,7 @@
 
 The metrics registry answers "how much, in total"; this module answers
 "what happened, in order".  A *span* is one timed unit of work — a grid
-cell, a retried LLM request, a batch chunk, a scheduler flush, an
+cell, a retried LLM request, an LLM batch, a scheduler flush, an
 inference call — opened with the :func:`span` context manager::
 
     with span("grid.cell", matcher="Ditto", target="ABT") as s:

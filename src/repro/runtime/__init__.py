@@ -24,8 +24,6 @@ scheduler the study drivers dispatch through:
 :mod:`repro.runtime.stats`
     Per-phase wall-clock, task counts, cache hit rate and the
     parallel-speedup estimate recorded into ``full_study.json``.
-:mod:`repro.runtime.chunks`
-    Deterministic chunk partitioning shared by the batch layer.
 :mod:`repro.runtime.persist`
     Atomic, checksummed file writes (tmp + ``os.replace`` + digest
     footer) and quarantine of corrupt on-disk state.
@@ -43,7 +41,6 @@ import cycle through :mod:`repro.llm`.  Import it explicitly via
 from __future__ import annotations
 
 from .cache import CachedClient, CompletionCache, active_cache, completion_key
-from .chunks import chunk_indices
 from .executor import (
     EXECUTOR_BACKENDS,
     ProcessStudyExecutor,
@@ -78,7 +75,6 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_text",
     "cell_key",
-    "chunk_indices",
     "completion_key",
     "load_checked_json",
     "make_executor",

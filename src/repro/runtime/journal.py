@@ -70,14 +70,10 @@ def _config_key_material(config) -> dict:
     material = {name: getattr(config, name) for name in _CONFIG_KEY_FIELDS}
     material["seeds"] = list(config.seeds)
     material["surrogate"] = dict(vars(config.surrogate))
-    # float32 inference perturbs NN probabilities within the documented
-    # tolerance, so journalled cells computed under one precision must
-    # not be replayed under the other.  The fast path itself and length
-    # bucketing are excluded on purpose: both are parity-tested to leave
-    # predictions unchanged.
-    from ..config import get_inference_config
-
-    material["inference_float32"] = get_inference_config().float32
+    # A constant since inference became float32-only.  Journals written
+    # while precision was selectable keyed their default (float32) cells
+    # with this entry; keeping it keeps their keys, so they still resume.
+    material["inference_float32"] = True
     return material
 
 

@@ -122,9 +122,9 @@ class PendingResult:
 class MicroBatcher:
     """Coalesce concurrent requests into bounded batches for one processor.
 
-    ``process_batch(items, budget)`` receives a list of queued items
-    (FIFO order, or a similar-length window when ``length_key`` is set)
-    and the batch's tightest deadline budget (or ``None``), and must
+    ``process_batch(items, budget)`` receives a list of queued items in
+    FIFO order and the batch's tightest deadline budget (or ``None``),
+    and must
     return one result per item, in order; any exception it raises is
     delivered to every request in that batch.
     """
@@ -137,21 +137,12 @@ class MicroBatcher:
         max_batch_size: int = 32,
         max_queue: int = 256,
         clock: Clock | None = None,
-        length_key: Callable[[Any], float] | None = None,
     ) -> None:
         """Configure the batching policy.
 
         ``max_batch_size`` caps one batch, and ``max_queue`` is the
         admission-control bound beyond which submits shed load with
         :class:`~repro.errors.OverloadedError`.
-
-        ``length_key`` (optional) turns on length-bucketed batch forming:
-        each batch is a window of similar-``length_key`` requests instead
-        of a strict FIFO slice, so a processor that pads to the longest
-        item in the batch wastes less work.  The oldest waiting request
-        is always included in the next batch — bucketing reorders, it
-        never starves — and admission control is unaffected (the queue
-        bound counts waiting requests regardless of their length).
         """
         if max_batch_size < 1:
             raise ConfigurationError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -161,13 +152,10 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_queue = max_queue
         self.clock = clock or SystemClock()
-        self.length_key = length_key
-        self._seq = 0
-        #: Entries are ``(item, pending, seq, length, budget)``; ``seq``
-        #: is the admission order, ``length`` the cached ``length_key``
-        #: value and ``budget`` the request's optional deadline budget.
+        #: Entries are ``(item, pending, budget)`` in admission order;
+        #: ``budget`` is the request's optional deadline budget.
         self._queue: deque[
-            tuple[Any, PendingResult, int, float, DeadlineBudget | None]
+            tuple[Any, PendingResult, DeadlineBudget | None]
         ] = deque()
         self._cond = threading.Condition()
         self._thread: threading.Thread | None = None
@@ -233,9 +221,7 @@ class MicroBatcher:
                     f"admission queue full ({self.max_queue} requests waiting)"
                 )
             pending = PendingResult(submitted_at=self.clock.monotonic())
-            length = 0.0 if self.length_key is None else float(self.length_key(item))
-            self._queue.append((item, pending, self._seq, length, budget))
-            self._seq += 1
+            self._queue.append((item, pending, budget))
             self._counters["submitted"] += 1
             self._cond.notify()
         return pending
@@ -285,31 +271,9 @@ class MicroBatcher:
     def _pop_batch(
         self,
     ) -> list[tuple[Any, PendingResult, DeadlineBudget | None]]:
-        """Pop up to ``max_batch_size`` queued entries (caller holds the lock).
-
-        FIFO without a ``length_key``; with one, a window of
-        similar-length entries that always contains the oldest waiting
-        request (so bucketing can never starve it).
-        """
-        if not self._queue:
-            return []
-        if self.length_key is None:
-            batch = []
-            while self._queue and len(batch) < self.max_batch_size:
-                item, pending, _seq, _length, budget = self._queue.popleft()
-                batch.append((item, pending, budget))
-            return batch
-        entries = list(self._queue)
-        oldest_seq = entries[0][2]
-        ordered = sorted(entries, key=lambda entry: (entry[3], entry[2]))
-        oldest_pos = next(
-            i for i, entry in enumerate(ordered) if entry[2] == oldest_seq
-        )
-        start = max(0, min(oldest_pos, len(ordered) - self.max_batch_size))
-        chosen = ordered[start:start + self.max_batch_size]
-        chosen_seqs = {entry[2] for entry in chosen}
-        self._queue = deque(e for e in entries if e[2] not in chosen_seqs)
-        return [(entry[0], entry[1], entry[4]) for entry in chosen]
+        """Pop the oldest ``max_batch_size`` entries (caller holds the lock)."""
+        queue = self._queue
+        return [queue.popleft() for _ in range(min(len(queue), self.max_batch_size))]
 
     def _dispatch_loop(self) -> None:
         """Threaded mode: whenever free, take what is waiting and run it."""

@@ -55,7 +55,6 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..config import get_inference_config
 from ..data.pairs import RecordPair
 from ..data.record import Record
 from ..errors import DeadlineExceededError, OverloadedError, ReproError, ServingError
@@ -70,20 +69,7 @@ from ..routing.policy import MatchRouter, RoutedBackend
 from .index import Candidate, CandidateIndex
 from .scheduler import MicroBatcher, PendingResult
 
-__all__ = ["MatchResponse", "LookupMatch", "ServingStats", "MatchService", "pair_token_length"]
-
-
-def pair_token_length(pair: RecordPair) -> float:
-    """Whitespace token count of both records — the batching length key.
-
-    A cheap proxy for the encoded sequence length: the encoder budgets
-    tokens per side from exactly these values, so sorting by this count
-    groups pairs that will pad to similar widths.
-    """
-    return float(
-        sum(len(value.split()) for value in pair.left.values)
-        + sum(len(value.split()) for value in pair.right.values)
-    )
+__all__ = ["MatchResponse", "LookupMatch", "ServingStats", "MatchService"]
 
 
 @dataclass(frozen=True)
@@ -238,7 +224,6 @@ class MatchService:
         retry_policy: RetryPolicy | None = None,
         serialization_seed: int | None = None,
         clock: Clock | None = None,
-        bucket_by_length: bool | None = None,
         router: MatchRouter | None = None,
         drift_monitor=None,
         shadow=None,
@@ -250,11 +235,9 @@ class MatchService:
         the study's error classification; ``serialization_seed`` fixes
         the column order shown to the matcher (``None`` = canonical
         order) so responses are a pure function of the request trace.
-        ``bucket_by_length`` (default: the active
-        :class:`repro.config.InferenceConfig`) makes the scheduler form
-        batches of similar-token-length pairs instead of strict FIFO
-        slices; per-pair responses are unchanged, only co-batching (and
-        thus padding waste) differs.
+        The scheduler forms FIFO batches of up to ``max_batch_size``
+        pairs; a trained matcher's model call sorts each batch by token
+        length itself (:func:`repro.models.training.predict_proba`).
 
         ``router`` (a :class:`~repro.routing.policy.MatchRouter`) is the
         scoring path: batches route through its backend ladder and
@@ -286,15 +269,11 @@ class MatchService:
             )
         self.router = router
         self.stats = ServingStats()
-        if bucket_by_length is None:
-            bucket_by_length = get_inference_config().bucketing
-        self.bucket_by_length = bucket_by_length
         self._batcher = MicroBatcher(
             self._process_batch,
             max_batch_size=max_batch_size,
             max_queue=max_queue,
             clock=self.clock,
-            length_key=pair_token_length if bucket_by_length else None,
         )
         self._started = False
 

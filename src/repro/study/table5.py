@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..config import SurrogateScale
 from ..cost.hardware import ACADEMIC_4XA100, MachineSpec
 from ..cost.throughput import ThroughputResult, ThroughputSimulator
 from ..eval.reporting import format_rows
 from ..models.cards import OPEN_WEIGHT_CARDS, get_card
 
-__all__ = ["Table5Result", "run", "USED_BY", "measure_surrogate_throughput"]
+__all__ = ["Table5Result", "run", "USED_BY"]
 
 #: Which approach employs each open-weight model (the "Used by" column).
 USED_BY: dict[str, str] = {
@@ -58,61 +54,3 @@ def run(machine: MachineSpec = ACADEMIC_4XA100) -> Table5Result:
     """Simulate the Table-5 throughput experiment on the given machine."""
     simulator = ThroughputSimulator(machine)
     return Table5Result([simulator.simulate(get_card(name)) for name in OPEN_WEIGHT_CARDS])
-
-
-def measure_surrogate_throughput(
-    n_pairs: int = 96,
-    batch_size: int = 32,
-    scale: SurrogateScale | None = None,
-    seed: int = 0,
-) -> dict[str, float]:
-    """*Measured* surrogate inference throughput: reference vs fast path.
-
-    Table 5 itself is a hardware simulation; this companion runs a real
-    smoke-scale :class:`~repro.models.EncoderClassifier` over a
-    variable-length workload through ``predict_proba`` twice — once on
-    the autograd reference path, once on the fused fast path (float32 +
-    length bucketing) — and reports wall-clock and tokens/s for both,
-    plus the speedup.  A third float64 fast-path pass guards parity: its
-    probabilities must equal the reference bit-for-bit or this raises.
-    """
-    from ..models import EncoderClassifier
-    from ..models.training import EncodedPairs, predict_proba
-
-    scale = scale or SurrogateScale(d_model=32, n_layers=2, n_heads=2, d_ff=64, max_len=48)
-    rng = np.random.default_rng(seed)
-    model = EncoderClassifier(
-        scale.vocab_size, scale.d_model, scale.n_layers, scale.n_heads,
-        scale.d_ff, scale.max_len, rng,
-    )
-    model.eval()
-    ids = rng.integers(0, scale.vocab_size, size=(n_pairs, scale.max_len))
-    lengths = rng.integers(max(2, scale.max_len // 8), scale.max_len + 1, size=n_pairs)
-    pad_mask = np.arange(scale.max_len)[None, :] >= lengths[:, None]
-    data = EncodedPairs(ids, pad_mask, np.zeros(0, dtype=np.int64))
-
-    def timed(**knobs: bool) -> tuple[np.ndarray, float]:
-        start = time.perf_counter()
-        probs = predict_proba(model, data, batch_size=batch_size, **knobs)
-        return probs, time.perf_counter() - start
-
-    # Warm the mask and weight-cast caches so steady state is measured.
-    predict_proba(model, data, batch_size=batch_size,
-                  fast_path=True, float32=True, bucket_by_length=True)
-    reference, reference_s = timed(fast_path=False, float32=False, bucket_by_length=False)
-    fast, fast_s = timed(fast_path=True, float32=True, bucket_by_length=True)
-    exact, _ = timed(fast_path=True, float32=False, bucket_by_length=False)
-    if not np.array_equal(reference, exact):
-        raise AssertionError("float64 fast path lost bit-parity with the reference path")
-
-    tokens = float((~pad_mask).sum())
-    return {
-        "n_pairs": float(n_pairs),
-        "tokens": tokens,
-        "reference_s": reference_s,
-        "fast_s": fast_s,
-        "speedup": reference_s / fast_s if fast_s > 0 else float("inf"),
-        "reference_tokens_per_s": tokens / reference_s if reference_s > 0 else float("inf"),
-        "fast_tokens_per_s": tokens / fast_s if fast_s > 0 else float("inf"),
-        "max_abs_prob_delta": float(np.max(np.abs(fast - reference))),
-    }

@@ -15,6 +15,9 @@ from repro.config import StudyConfig, SurrogateScale
 from repro.data import EMDataset, build_dataset
 from repro.data.record import Record
 from repro.data.pairs import RecordPair
+from repro.models.training import EncodedPairs
+from repro.nn import functional as F
+from repro.nn import no_grad
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +73,26 @@ def make_pair(
         f"{pair_id}-r", right_values, "e1" if same_entity else "e2", source="right"
     )
     return RecordPair(pair_id, left, right, label=label)
+
+
+def reference_proba(model, data: EncodedPairs, batch_size: int = 128) -> np.ndarray:
+    """P(match) from the float64 autograd forward, the parity reference.
+
+    Fixed, unbucketed batches padded to the global width, through
+    ``model(ids, pad_mask, shared)`` — the training forward — instead of
+    the float32 ``infer_logits`` kernels ``predict_proba`` runs.  Called
+    as ``(model, data)`` it stands in for a matcher's ``predict_proba``.
+    """
+    model.eval()
+    n = len(data)
+    out = np.zeros(n)
+    with no_grad():
+        for start in range(0, n, batch_size):
+            idx = np.arange(start, min(start + batch_size, n))
+            batch = data.take(idx)
+            logits = model(batch.ids, batch.pad_mask, batch.shared)
+            out[idx] = F.softmax(logits, axis=-1).numpy()[:, 1]
+    return out
 
 
 @pytest.fixture

@@ -150,3 +150,18 @@ class TestJellyfish:
         matcher = JellyfishMatcher(Capture("No"))
         matcher.predict(dataset.pairs[:1], serialization_seed=0)
         assert "expert in data preprocessing" in captured["prompt"]
+
+    def test_prompts_reach_the_client_in_input_order(self, abt):
+        dataset, _world = abt
+        seen = []
+
+        class Capture(EchoClient):
+            def complete(self, request):
+                seen.append(request.prompt)
+                return super().complete(request)
+
+        pairs = dataset.pairs[:8]
+        JellyfishMatcher(Capture("No")).predict(pairs, serialization_seed=0)
+        assert len(seen) == len(pairs)
+        for prompt, pair in zip(seen, pairs):
+            assert prompt.endswith(build_match_prompt(*pair_text(pair, 0)))

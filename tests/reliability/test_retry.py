@@ -208,14 +208,16 @@ class TestDeadlines:
 
 class TestBatchIntegration:
     def test_batch_process_absorbs_transient_failures(self):
-        """BatchJob.process(retry_policy=...) retries instead of recording
+        """A BatchJob over a RetryingClient retries instead of recording
         the first failure as the request's final outcome."""
         from repro.llm.batching import BatchJob
 
         flaky = ScriptedClient([TransientLLMError("blip")], answer="No")
-        job = BatchJob(client=flaky)
+        job = BatchJob(
+            client=RetryingClient(flaky, RetryPolicy(base_delay_s=0.0, jitter=0.0))
+        )
         job.submit(_PROMPT)
-        job.process(retry_policy=RetryPolicy(base_delay_s=0.0, jitter=0.0))
+        job.process()
         assert job.n_failed == 0
         assert flaky.calls == 2
 

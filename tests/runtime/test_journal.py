@@ -73,6 +73,14 @@ class TestCellKey:
         assert cell_key(_cell(dataset_seed=8)) != base
         assert cell_key(_cell(config=get_profile("default"))) != base
 
+    def test_key_is_pinned_so_existing_journals_resume(self):
+        """The hex a journal stored for this cell before inference
+        precision stopped being selectable: a changed key would make
+        ``--resume`` recompute every journaled cell."""
+        assert cell_key(_cell()) == (
+            "68d4a368c21cccc0edb045c7e564212404c6be4f488ce635c8b048c1c78b1c4b"
+        )
+
     def test_insensitive_to_runtime_knobs(self):
         smoke = get_profile("smoke")
         reconfigured = dataclasses.replace(

@@ -36,6 +36,20 @@ class TestInlineMode:
         assert seen_batches == [[0, 1, 2], [3, 4, 5], [6]]
         assert [p.result(0) for p in pending] == list(range(7))
 
+    def test_fifo_batches_ignore_item_size(self):
+        """Batches are admission-order slices, however the items compare."""
+        seen_batches = []
+
+        def record(items, budget):
+            seen_batches.append(list(items))
+            return items
+
+        batcher = MicroBatcher(record, max_batch_size=3)
+        for n in (9, 1, 8, 2, 7, 3):
+            batcher.submit(n)
+        batcher.drain()
+        assert seen_batches == [[9, 1, 8], [2, 7, 3]]
+
     def test_drain_on_empty_queue_is_a_noop(self):
         batcher = MicroBatcher(_doubler)
         assert batcher.drain() == 0
@@ -225,59 +239,3 @@ class TestThreadedMode:
         pending = batcher.submit(5)  # never started: queued only
         batcher.stop()
         assert pending.result(0) == 10
-
-
-class TestLengthBucketedMode:
-    """``length_key`` forms similar-length batches without starving anyone."""
-
-    def test_batches_group_similar_lengths(self):
-        seen_batches = []
-
-        def record(items, budget):
-            seen_batches.append(list(items))
-            return [item * 2 for item in items]
-
-        batcher = MicroBatcher(record, max_batch_size=3, length_key=lambda x: x)
-        pending = [batcher.submit(n) for n in (9, 1, 8, 2, 7, 3)]
-        assert batcher.drain() == 2
-        # The window holding the oldest request (9) goes first; the rest
-        # batch together in length order.
-        assert seen_batches == [[7, 8, 9], [1, 2, 3]]
-        # Every submitter still receives its own request's result.
-        assert [p.result(0) for p in pending] == [18, 2, 16, 4, 14, 6]
-
-    def test_oldest_request_never_starves(self):
-        seen_batches = []
-
-        def record(items, budget):
-            seen_batches.append(list(items))
-            return items
-
-        batcher = MicroBatcher(record, max_batch_size=2, length_key=lambda x: x)
-        batcher.submit(100)  # a long outlier, admitted first
-        for short in (1, 2, 3):
-            batcher.submit(short)
-        batcher.drain()
-        # A pure shortest-first policy would keep deferring 100; the
-        # window is anchored so the oldest request rides the first batch.
-        assert 100 in seen_batches[0]
-
-    def test_admission_control_unaffected(self):
-        batcher = MicroBatcher(_doubler, max_queue=2, length_key=lambda x: x)
-        batcher.submit(1)
-        batcher.submit(2)
-        with pytest.raises(OverloadedError):
-            batcher.submit(3)
-
-    def test_without_length_key_order_is_fifo(self):
-        seen_batches = []
-
-        def record(items, budget):
-            seen_batches.append(list(items))
-            return items
-
-        batcher = MicroBatcher(record, max_batch_size=3)
-        for n in (9, 1, 8, 2, 7, 3):
-            batcher.submit(n)
-        batcher.drain()
-        assert seen_batches == [[9, 1, 8], [2, 7, 3]]

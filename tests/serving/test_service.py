@@ -125,6 +125,26 @@ class TestDeterministicReplay:
         assert scheduler["batches"] == 3  # 3 + 3 + 1
         assert scheduler["occupancy_sum"] == 7
 
+    def test_default_service_routes_pairs_in_submission_order(self, monkeypatch):
+        """An un-started default service hands its router FIFO batches,
+        even when the pairs' token lengths are out of order."""
+        service = MatchService(StringSimMatcher())
+        lengths = [9, 1, 8, 2, 7, 3]
+        pairs = [
+            service.make_pair([" ".join(["w"] * n)], [" ".join(["w"] * n)])
+            for n in lengths
+        ]
+        routed = []
+        route = service.router.route
+
+        def recording_route(batch, budget=None):
+            routed.extend(len(pair.left.values[0].split()) for pair in batch)
+            return route(batch, budget=budget)
+
+        monkeypatch.setattr(service.router, "route", recording_route)
+        service.match_pairs(pairs)
+        assert routed == lengths
+
 
 class TestRetries:
     def test_retry_policy_recovers_transient_batch_failure(self):
@@ -275,28 +295,6 @@ class TestLookup:
         }
         assert match_ids <= candidate_ids
         assert service.metrics()["counters"]["lookups"] == 1
-
-
-class TestLengthBucketedServing:
-    def test_bucketed_responses_match_fifo_responses(self):
-        """Per-pair labels are identical with and without length bucketing."""
-        fifo = MatchService(StringSimMatcher(), max_batch_size=4,
-                            bucket_by_length=False)
-        bucketed = MatchService(StringSimMatcher(), max_batch_size=4,
-                                bucket_by_length=True)
-        fifo_labels = [r.label for r in fifo.match_pairs(
-            [fifo.make_pair(left, right) for left, right in TRACE])]
-        bucketed_labels = [r.label for r in bucketed.match_pairs(
-            [bucketed.make_pair(left, right) for left, right in TRACE])]
-        assert bucketed_labels == fifo_labels
-
-    def test_pair_token_length_counts_both_records(self):
-        from repro.serving.service import pair_token_length
-
-        service = MatchService(StringSimMatcher())
-        pair = service.make_pair(["sony mdr headphones", "audio"],
-                                 ["nikon lens kit", "optics"])
-        assert pair_token_length(pair) == (3 + 1) + (3 + 1)
 
 
 class TestLatencySummary:

@@ -1,24 +1,25 @@
 """Study tables are invariant under the inference fast path.
 
-Runs a deliberately small Table-3 / Table-4 slice twice — once on the
-autograd reference path, once with the shipped fast-path defaults
-(fused kernels, float32 weights, length bucketing) — and asserts the
-rendered tables are character-identical.  ``Ditto`` exercises the fused
-surrogate kernels end to end; ``Jellyfish`` exercises the prompt-length
-reordering of the LLM batch path.
+Runs a deliberately small Table-3 / Table-4 slice twice — once with the
+matchers' ``predict_proba`` binding swapped for the float64 autograd
+reference (:func:`tests.conftest.reference_proba`), once on the shipped
+path (fused kernels, float32 weights, length bucketing) — and asserts
+the rendered tables are character-identical.  ``Ditto`` exercises the
+fused surrogate kernels end to end.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import StudyConfig, SurrogateScale, inference_overrides
+from repro.config import StudyConfig, SurrogateScale
 from repro.study import table3, table4
-
-_FAST = dict(fast_path=True, float32=True, bucketing=True)
-_REFERENCE = dict(fast_path=False, float32=False, bucketing=False)
+from tests.conftest import reference_proba
 
 _CODES = ("ABT", "DBAC", "BEER")
+
+#: Every module that binds ``predict_proba`` by name.
+_BINDINGS = ("repro.matchers.ditto", "repro.matchers.unicorn", "repro.matchers.anymatch")
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +32,25 @@ def config() -> StudyConfig:
     )
 
 
-def test_table3_rendered_output_unchanged(config):
-    with inference_overrides(**_REFERENCE):
+def _on_reference(monkeypatch, calls: list) -> None:
+    """Route every matcher's ``predict_proba`` to the float64 reference."""
+    def reference(model, data):
+        calls.append(len(data))
+        return reference_proba(model, data)
+
+    for module in _BINDINGS:
+        monkeypatch.setattr(f"{module}.predict_proba", reference)
+
+
+def test_table3_rendered_output_unchanged(config, monkeypatch):
+    fast = table3.run(config, matcher_names=("Ditto",), codes=_CODES, use_cache=False)
+    calls: list = []
+    with monkeypatch.context() as patched:
+        _on_reference(patched, calls)
         reference = table3.run(
-            config, matcher_names=("Ditto", "Jellyfish"), codes=_CODES, use_cache=False
+            config, matcher_names=("Ditto",), codes=_CODES, use_cache=False
         )
-    with inference_overrides(**_FAST):
-        fast = table3.run(
-            config, matcher_names=("Ditto", "Jellyfish"), codes=_CODES, use_cache=False
-        )
+    assert calls, "the reference binding was never reached"
     assert fast.render() == reference.render()
     for got, expected in zip(fast.results, reference.results):
         assert got.matcher_name == expected.matcher_name
@@ -48,13 +59,14 @@ def test_table3_rendered_output_unchanged(config):
             assert got.per_dataset[code].mean_f1 == expected.per_dataset[code].mean_f1
 
 
-def test_table4_rendered_output_unchanged(config):
-    with inference_overrides(**_REFERENCE):
+def test_table4_rendered_output_unchanged(config, monkeypatch):
+    """Table 4 prompts LLMs only: no cell reaches a surrogate model."""
+    fast = table4.run(config, models=("gpt-3.5-turbo",), codes=_CODES, use_cache=False)
+    calls: list = []
+    with monkeypatch.context() as patched:
+        _on_reference(patched, calls)
         reference = table4.run(
             config, models=("gpt-3.5-turbo",), codes=_CODES, use_cache=False
         )
-    with inference_overrides(**_FAST):
-        fast = table4.run(
-            config, models=("gpt-3.5-turbo",), codes=_CODES, use_cache=False
-        )
+    assert calls == []
     assert fast.render() == reference.render()
